@@ -10,9 +10,9 @@ from .cohomology import (CocycleSpace, CohomologyReport, class_span_dim,
                          is_cuspidal, peripheral_invariant_dims, scannell_check)
 from .complexes import (Angle, BendingComplex, Binding, Incidence,
                         bending_dimension, build_system)
-from .linalg import (FloatMatrix, Rational, RationalMatrix, in_column_space,
-                     nullspace, rank_of_vectors, rref_rank)
-from .modules import CoefficientModule, SplitResult, build_module, split_components
+from .linalg import (FloatMatrix, RationalMatrix, in_column_space, nullspace,
+                     rank_of_vectors, rref_rank)
+from .modules import CoefficientModule, SplitResult, split_components
 from .reps import (FirstOrderRep, QuadraticForm, Representation,
                    first_order_evaluate, is_parabolic, validate_representation)
 from .words import (GroupRingElem, Presentation, Word, WordError, fox_derivative,
@@ -24,8 +24,8 @@ __all__ = [
     "Angle", "BendingComplex", "BendingDatum", "BendingGenerator", "Binding",
     "CentralizerError", "CocycleSpace", "CoefficientModule", "CohomologyReport",
     "FirstOrderRep", "FloatMatrix", "GroupRingElem", "Incidence", "Presentation",
-    "QuadraticForm", "Rational", "RationalMatrix", "Representation", "SplitResult",
-    "Word", "WordError", "bending_dimension", "build_module", "build_system",
+    "QuadraticForm", "RationalMatrix", "Representation", "SplitResult",
+    "Word", "WordError", "bending_dimension", "build_system",
     "centralizer_generator", "char_poly", "class_span_dim", "cocycle_eval",
     "default_parabolic_words", "first_order_evaluate", "fox_derivative",
     "h1_report", "hnn_first_order", "in_column_space", "is_cuspidal",

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import CocycleSpace
 from .linalg import RationalMatrix, nullspace
 from .modules import CoefficientModule, split_components
 from .reps import FirstOrderRep, Representation, first_order_evaluate
@@ -93,22 +92,15 @@ def _commutation_rows(m: RationalMatrix, size: int) -> list[list[Fraction]]:
 
 def _centralizer_space(rep: Representation, datum: BendingDatum):
     """Nullspace basis of the ambient-algebra commutation system."""
+    base = rep if datum.geometry == "sl" else rep.embedded_in_extension()
+    size = base.size
+    rows = []
+    for w in datum.subgroup:
+        rows.extend(_commutation_rows(base.evaluate(w), size))
     if datum.geometry == "sl":
-        size = rep.size
-        mats = [rep.evaluate(w) for w in datum.subgroup]
-        rows = []
-        for m in mats:
-            rows.extend(_commutation_rows(m, size))
-        trace_row = [Fraction(int(i == j)) for i in range(size) for j in range(size)]
-        rows.append(trace_row)
+        rows.append([Fraction(int(i == j)) for i in range(size) for j in range(size)])
     else:
-        emb = rep.embedded_in_extension()
-        size = emb.size
-        mats = [emb.evaluate(w) for w in datum.subgroup]
-        rows = []
-        for m in mats:
-            rows.extend(_commutation_rows(m, size))
-        q = emb.form.matrix
+        q = base.form.matrix
         for i in range(size):
             for j in range(size):
                 row = [Fraction(0)] * (size * size)
@@ -183,8 +175,8 @@ def tangent_cocycle(fo: FirstOrderRep, module: CoefficientModule) -> tuple[Fract
     projected to the module's complement coordinates and stacked.
 
     Requires module kind "nu" for sl geometry (base size n+1) or "standard"
-    for so_ext geometry (base size n+2); the result is checked to lie in the
-    Fox-Jacobian kernel of the matching cocycle space.
+    for so_ext geometry (base size n+2); the result is checked to vanish on
+    every relator of the presentation.
     """
     rep = module.rep
     base_size = fo.base.size
@@ -200,15 +192,13 @@ def tangent_cocycle(fo: FirstOrderRep, module: CoefficientModule) -> tuple[Fract
         raise ValueError(f"no tangent cocycles in module kind {module.kind!r}")
     coords: list[Fraction] = []
     for g in rep.presentation.generators:
-        m, e = first_order_evaluate(fo, Word.generator(g))
-        c = e * m.inverse()
+        c = fo.derivative[g] * fo.base.image(g, -1)
         split = split_components(c, rep.form, ambient)
         if ambient == "sl":
             coords.extend(module.to_coordinates(split.complement_part))
         else:
             coords.extend(split.complement_part)
-    space = CocycleSpace(rep.presentation, module)
-    if not space.is_cocycle(coords):
+    if any(any(module.cocycle_value(coords, r)) for r in rep.presentation.relators):
         raise ValueError("bending data does not define a first-order deformation "
                          "(tangent vector fails the cocycle condition)")
     return tuple(coords)

@@ -3,7 +3,9 @@
 Subcommands: ``validate``, ``cohomology``, ``branched-system``, ``bend``,
 ``borromean``. Every command accepts ``--output PATH`` and writes one JSON
 document there; stdout always mirrors it. Exit codes: 0 success, 1 check
-failure, 2 input error. BENDLAB_FLOAT_TOL overrides the float rank tolerance.
+failure (``bend``: no wall yields a valid cocycle), 2 input error (including
+``borromean --cases`` below 1). BENDLAB_FLOAT_TOL overrides the float rank
+tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .cohomology import (CocycleSpace, class_span_dim, h1_report,
                          peripheral_invariant_dims)
 from .complexes import BendingComplex, bending_dimension
 from .linalg import DEFAULT_FLOAT_TOLERANCE, rref_rank
-from .modules import build_module
+from .modules import CoefficientModule
 from .reps import Representation, validate_representation
 from .words import Presentation, parse_word
 
@@ -62,7 +64,7 @@ def _load_presentation(path: str | None) -> Presentation:
         return fixtures.load_presentation()
     try:
         return Presentation.from_json(_load_json(path))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad presentation file {path}: {exc}") from exc
 
 
@@ -106,7 +108,7 @@ def cmd_cohomology(args) -> int:
     kind = COEFFICIENT_KINDS[args.coefficients]
     mode = {"per-element": "per_element", "per-subgroup": "per_subgroup",
             "none": "none"}[args.parabolic]
-    module = build_module(rep, kind)
+    module = CoefficientModule(rep, kind)
     space = CocycleSpace(pres, module)
     report = h1_report(pres, module, mode=mode, space=space)
     consistency = {
@@ -161,7 +163,7 @@ def cmd_bend(args) -> int:
         except OSError as exc:
             raise InputError(f"cannot read {args.words}: {exc}") from exc
     kind = "nu" if geometry == "sl" else "standard"
-    module = build_module(rep, kind)
+    module = CoefficientModule(rep, kind)
     space = CocycleSpace(pres, module)
     entries = []
     cocycles = []
@@ -191,10 +193,12 @@ def cmd_bend(args) -> int:
         doc["trace_derivative_matrix"] = f.to_json()
         doc["trace_matrix_rank"] = rref_rank(f)[1]
     _emit(doc, args.output)
-    return EXIT_OK
+    return EXIT_OK if cocycles else EXIT_CHECK_FAILED
 
 
 def cmd_borromean(args) -> int:
+    if args.cases < 1:
+        raise InputError(f"--cases must be at least 1, got {args.cases}")
     if args.presentation or args.rep:
         # overridden fixture: run validation first, abort with a diagnostic
         pres = _load_presentation(args.presentation)

@@ -54,7 +54,7 @@ class CocycleSpace:
         ident = RationalMatrix.identity(d)
         out = None
         for gen in self.presentation.generators:
-            block = ident - self.module.action(Word.generator(gen))
+            block = ident - self.module.evaluator.letters[gen, 1]
             out = block if out is None else out.vstack(block)
         return out
 
@@ -66,20 +66,19 @@ class CocycleSpace:
         prefix, possibly times one inverse letter).
         """
         d = self.d
-        gen_index = {g: k for k, g in enumerate(self.presentation.generators)}
-        blocks = {k: RationalMatrix.zeros(d, d) for k in range(self.g)}
+        letters = self.module.evaluator.letters
+        blocks = {g: RationalMatrix.zeros(d, d) for g in self.presentation.generators}
         prefix = RationalMatrix.identity(d)
         for g, e in w.letters:
-            act = self.module.action(Word(((g, e),)))
-            k = gen_index[g]
+            act = letters[g, e]
             if e == 1:
-                blocks[k] = blocks[k] + prefix
+                blocks[g] = blocks[g] + prefix
             else:
-                blocks[k] = blocks[k] - prefix * act
+                blocks[g] = blocks[g] - prefix * act
             prefix = prefix * act
-        out = blocks[0]
-        for k in range(1, self.g):
-            out = out.hstack(blocks[k])
+        out, *rest = blocks.values()
+        for block in rest:
+            out = out.hstack(block)
         return out
 
     def coboundary(self, alpha) -> tuple[Fraction, ...]:
@@ -128,14 +127,16 @@ class CocycleSpace:
         return self.dim_z1 - rank_of_vectors(restricted)
 
     def cuspidal_defect(self, c) -> list[bool]:
-        """Per cusp: does one alpha satisfy the coboundary condition on both
-        the meridian and the longitude of the restricted cocycle?"""
+        """Per cusp: True when the restricted class is trivial there, i.e. one
+        alpha gives c(w) = (I - w).alpha on both the meridian and the
+        longitude. True therefore means there is no defect at that cusp."""
         d = self.d
         ident = RationalMatrix.identity(d)
+        value = self.module.cocycle_value
         out = []
         for mu, lam in self.presentation.cusps:
             a = (ident - self.module.action(mu)).vstack(ident - self.module.action(lam))
-            rhs = list(self.word_row(mu).matvec(c)) + list(self.word_row(lam).matvec(c))
+            rhs = list(value(c, mu)) + list(value(c, lam))
             out.append(in_column_space(a, rhs) is not None)
         return out
 
@@ -145,7 +146,7 @@ def cocycle_eval(space: CocycleSpace, c, w: Word) -> tuple[Fraction, ...]:
     c = list(c)
     if len(c) != space.g * space.d:
         raise ValueError(f"expected length {space.g * space.d}, got {len(c)}")
-    return space.word_row(w).matvec(c)
+    return space.module.cocycle_value(c, w)
 
 
 def class_span_dim(space: CocycleSpace, cocycles) -> int:
@@ -161,6 +162,7 @@ def class_span_dim(space: CocycleSpace, cocycles) -> int:
 
 
 def is_cuspidal(space: CocycleSpace, c) -> bool:
+    """True when the class of c is trivial at every cusp (no defect anywhere)."""
     return all(space.cuspidal_defect(list(c)))
 
 

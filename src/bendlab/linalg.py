@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 DEFAULT_FLOAT_TOLERANCE = 1e-9
 
 

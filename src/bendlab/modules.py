@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RationalMatrix, in_column_space, nullspace, rref_rank
-from .reps import QuadraticForm, Representation
-from .words import GroupRingElem, Word
+from .reps import QuadraticForm, Representation, WordEvaluator
+from .words import Word
 
 KINDS = ("standard", "nu", "adjoint")
 
@@ -91,7 +91,7 @@ class CoefficientModule:
         if kind == "standard":
             self.basis = []
             self.dimension = n + 1
-            self._gen_action = {g: rep.images[g] for g in rep.presentation.generators}
+            self.evaluator = rep.evaluator
         else:
             self.basis = nu_basis(rep.form) if kind == "nu" else adjoint_basis(rep.form)
             expected = n * (n + 3) // 2 if kind == "nu" else n * (n + 1) // 2
@@ -100,10 +100,9 @@ class CoefficientModule:
                                  f"expected {expected}")
             self.dimension = expected
             self._columns = _basis_columns(self.basis)
-            self._gen_action = {g: self._ad_matrix(rep.images[g])
-                                for g in rep.presentation.generators}
-        self._gen_action_inv = {g: m.inverse() for g, m in self._gen_action.items()}
-        self._word_cache: dict[tuple, RationalMatrix] = {}
+            self.evaluator = WordEvaluator(
+                {g: self._ad_matrix(rep.images[g]) for g in rep.presentation.generators},
+                expected)
 
     def _ad_matrix(self, m: RationalMatrix) -> RationalMatrix:
         # one elimination for all basis images: RREF of [columns | images]
@@ -133,28 +132,22 @@ class CoefficientModule:
 
     def action(self, e) -> RationalMatrix:
         """Action matrix of a Word; linear extension over GroupRingElems."""
-        if isinstance(e, Word):
-            return self._word_action(e)
-        if isinstance(e, GroupRingElem):
-            d = self.dimension
-            out = RationalMatrix.zeros(d, d)
-            for w, c in e.terms.items():
-                out = out + self._word_action(w).scale(c)
-            return out
-        raise TypeError(f"cannot act on {type(e).__name__}")
+        return self.evaluator(e)
 
-    def _word_action(self, w: Word) -> RationalMatrix:
-        cached = self._word_cache.get(w.letters)
-        if cached is not None:
-            return cached
-        out = RationalMatrix.identity(self.dimension)
-        for g, e in w.letters:
-            if g not in self._gen_action:
-                raise KeyError(f"unknown generator {g}")
-            out = out * (self._gen_action[g] if e == 1 else self._gen_action_inv[g])
-        if len(w.letters) <= 12:
-            self._word_cache[w.letters] = out
-        return out
+    def cocycle_value(self, c, w: Word) -> tuple[Fraction, ...]:
+        """c(w) for generator values c stacked in presentation order, walking w
+        from the right: c(g v) = c(g) + g.c(v), c(g^-1 v) = g^-1.(c(v) - c(g))."""
+        d = self.dimension
+        at = {g: c[k * d:(k + 1) * d]
+              for k, g in enumerate(self.rep.presentation.generators)}
+        letters = self.evaluator.letters
+        v = (Fraction(0),) * d
+        for g, e in reversed(w.letters):
+            if e == 1:
+                v = tuple(a + b for a, b in zip(at[g], letters[g, 1].matvec(v)))
+            else:
+                v = letters[g, -1].matvec([a - b for a, b in zip(v, at[g])])
+        return v
 
     def invariants_dim(self, ws) -> int:
         """Dimension of the joint fixed space of the listed words."""
@@ -166,10 +159,6 @@ class CoefficientModule:
         if stacked is None:
             return d
         return len(nullspace(stacked))
-
-
-def build_module(rep: Representation, kind: str) -> CoefficientModule:
-    return CoefficientModule(rep, kind)
 
 
 @dataclass

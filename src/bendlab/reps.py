@@ -51,6 +51,34 @@ class QuadraticForm:
         return self.matrix.to_json()
 
 
+class WordEvaluator:
+    """Multiplies out words from the letter matrices ``letters[g, +-1]``;
+    words of at most 12 letters are cached, GroupRingElems act linearly."""
+
+    def __init__(self, images: dict[str, RationalMatrix], size: int):
+        self.size = size
+        self.letters = {(g, e): m if e == 1 else m.inverse()
+                        for g, m in images.items() for e in (1, -1)}
+        self._cache: dict[tuple, RationalMatrix] = {}
+
+    def __call__(self, e) -> RationalMatrix:
+        if isinstance(e, GroupRingElem):
+            out = RationalMatrix.zeros(self.size, self.size)
+            for w, c in e.terms.items():
+                out = out + self(w).scale(c)
+            return out
+        if not isinstance(e, Word):
+            raise TypeError(f"cannot evaluate {type(e).__name__}")
+        out = self._cache.get(e.letters)
+        if out is None:
+            out = RationalMatrix.identity(self.size)
+            for letter in e.letters:
+                out = out * self.letters[letter]
+            if len(e.letters) <= 12:
+                self._cache[e.letters] = out
+        return out
+
+
 class Representation:
     """Generator images plus a preserved quadratic form."""
 
@@ -67,39 +95,18 @@ class Representation:
         self.images = dict(images)
         self.form = form
         self.ambient_dimension = size - 1
-        self._inverses = {g: m.inverse() for g, m in self.images.items()}
-        self._word_cache: dict[tuple, RationalMatrix] = {}
+        self.evaluator = WordEvaluator(self.images, size)
 
     @property
     def size(self) -> int:
         return self.form.size
 
     def image(self, gen: str, exponent: int = 1) -> RationalMatrix:
-        if gen not in self.images:
-            raise KeyError(f"unknown generator {gen}")
-        return self.images[gen] if exponent == 1 else self._inverses[gen]
+        return self.evaluator.letters[gen, exponent]
 
     def evaluate(self, e) -> RationalMatrix:
         """Evaluate a Word (multiplicatively) or GroupRingElem (linearly)."""
-        if isinstance(e, Word):
-            return self._evaluate_word(e)
-        if isinstance(e, GroupRingElem):
-            out = RationalMatrix.zeros(self.size, self.size)
-            for w, c in e.terms.items():
-                out = out + self._evaluate_word(w).scale(c)
-            return out
-        raise TypeError(f"cannot evaluate {type(e).__name__}")
-
-    def _evaluate_word(self, w: Word) -> RationalMatrix:
-        cached = self._word_cache.get(w.letters)
-        if cached is not None:
-            return cached
-        out = RationalMatrix.identity(self.size)
-        for g, e in w.letters:
-            out = out * self.image(g, e)
-        if len(w.letters) <= 12:
-            self._word_cache[w.letters] = out
-        return out
+        return self.evaluator(e)
 
     def conjugated(self, u: RationalMatrix) -> "Representation":
         """The representation g -> u rho(g) u^-1 (u must preserve the form)."""

@@ -58,13 +58,7 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word.empty()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def conjugate_by(self, u: "Word") -> "Word":
-        return u * self * u.inverse()
+        return Word(self.letters * k)  # _reduce cancels across the seams
 
     def commutator(self, other: "Word") -> "Word":
         return self * other * self.inverse() * other.inverse()
@@ -165,6 +159,20 @@ class GroupRingElem:
         return f"GroupRingElem({self})"
 
 
+def generator_names(generators) -> tuple[str, ...]:
+    """The names as a tuple, checked: unique non-empty strings holding no
+    whitespace and none of ``()[]^,*``, and not ``1`` (the empty word)."""
+    if not isinstance(generators, (list, tuple)):
+        raise WordError(f"generators must be a list of names, got {generators!r}")
+    for g in generators:
+        if (not isinstance(g, str) or not g or g == "1"
+                or any(ch.isspace() or ch in "()[]^,*" for ch in g)):
+            raise WordError(f"bad generator name {g!r}")
+    if len(set(generators)) != len(generators):
+        raise WordError("generator names must be unique")
+    return tuple(generators)
+
+
 class _Parser:
     def __init__(self, text: str, generators):
         self.text = text
@@ -244,7 +252,7 @@ class _Parser:
 
 def parse_word(text: str, generators) -> Word:
     """Parse ``text`` over the named generators; result is freely reduced."""
-    p = _Parser(text, list(generators))
+    p = _Parser(text, generator_names(generators))
     w = p.parse_word()
     p.skip()
     if p.pos != len(p.text):
@@ -280,8 +288,7 @@ class Presentation:
     cusps: tuple[tuple[Word, Word], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
-            raise WordError("generator names must be unique")
+        generator_names(self.generators)
         gens = set(self.generators)
         for w in self.relators:
             if not w.generators_used() <= gens:
@@ -296,7 +303,7 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
-        gens = tuple(data["generators"])
+        gens = generator_names(data["generators"])
         relators = tuple(parse_word(r, gens) for r in data["relators"])
         cusps = tuple(
             (parse_word(c["meridian"], gens), parse_word(c["longitude"], gens))

@@ -2,7 +2,7 @@ import pytest
 
 from bendlab.cohomology import CocycleSpace
 from bendlab.fixtures import load_bundle
-from bendlab.modules import build_module
+from bendlab.modules import CoefficientModule
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,7 @@ def rho(bundle):
 
 @pytest.fixture(scope="session")
 def modules(rho):
-    return {kind: build_module(rho, kind) for kind in ("standard", "nu", "adjoint")}
+    return {kind: CoefficientModule(rho, kind) for kind in ("standard", "nu", "adjoint")}
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,20 @@ def test_validate_fixture(capsys, fixture_files):
 def test_validate_defaults_to_bundled(capsys):
     code, doc = run(capsys, "validate")
     assert code == 0 and doc["ok"]
+
+
+@pytest.mark.parametrize("generators", [5, ["x", ""], "xyz"])
+def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
+    pres = dict(_read_json("borromean_presentation.json"), generators=generators)
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(pres))
+    # a child process with a timeout: an empty name once hung the parser
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "bendlab.cli", "validate",
+                           "--presentation", str(path)], timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: bad presentation file")
 
 
 def test_cohomology_r31(capsys, fixture_files, tmp_path):
@@ -138,6 +156,16 @@ def test_bend_trace_variant(capsys, fixture_files):
     assert valid == [False, True, True, False, False, True]
 
 
+def test_bend_exits_one_when_no_wall_is_valid(capsys, tmp_path):
+    invalid = [_read_json("borromean_pants_trace.json")[k] for k in (0, 3, 4)]
+    path = tmp_path / "pants.json"
+    path.write_text(json.dumps(invalid))
+    code, doc = run(capsys, "bend", "--pants", str(path), "--geometry", "sl")
+    assert code == 1
+    assert [p["valid_first_order"] for p in doc["pants"]] == [False] * 3
+    assert doc["class_span"] == 0
+
+
 def test_bend_so(capsys, fixture_files):
     code, doc = run(capsys, "bend", "--pants", fixture_files["pants"],
                     "--geometry", "so")
@@ -160,6 +188,12 @@ def test_borromean_full_suite_passes(capsys):
     code, doc = run(capsys, "borromean", "--cases", "10")
     failed = [c for c in doc["checks"] if not c["passed"]]
     assert code == 0 and doc["failed"] == 0, failed
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_borromean_rejects_cases_below_one(capsys, cases):
+    assert main(["borromean", "--cases", cases]) == 2
+    assert "--cases" in capsys.readouterr().err
 
 
 def test_borromean_corrupted_relator_aborts(capsys, tmp_path):

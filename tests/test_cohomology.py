@@ -7,7 +7,7 @@ from bendlab.cohomology import (CocycleSpace, class_span_dim, cocycle_eval,
                                 default_parabolic_words, h1_report,
                                 peripheral_invariant_dims, scannell_check)
 from bendlab.linalg import RationalMatrix, rref_rank
-from bendlab.modules import build_module
+from bendlab.modules import CoefficientModule
 from bendlab.reps import QuadraticForm, Representation
 from bendlab.words import Presentation, Word
 
@@ -82,7 +82,7 @@ def test_free_group_trivial_action():
     pres = Presentation(("x",), ())
     images = {"x": RationalMatrix.identity(3)}
     rep = Representation(pres, images, QuadraticForm(RationalMatrix.identity(3)))
-    module = build_module(rep, "standard")
+    module = CoefficientModule(rep, "standard")
     space = CocycleSpace(pres, module)
     assert (space.dim_z1, space.dim_b1, space.dim_h1) == (3, 0, 3)
 
@@ -165,7 +165,7 @@ def test_redundant_relator_leaves_dimensions_unchanged(borromean, rho):
                             borromean.cusps)
     rep = Representation(extended, rho.images, rho.form)
     for kind in ("standard", "nu", "adjoint"):
-        module = build_module(rep, kind)
+        module = CoefficientModule(rep, kind)
         report = h1_report(extended, module, mode="per_subgroup")
         want = EXPECTED[kind]
         assert (report.dim_z1, report.dim_b1, report.dim_h1,
@@ -177,7 +177,7 @@ def test_conjugation_invariance_sample(borromean, rho):
     u = rho.images["x"] * rho.images["y"]
     conj = rho.conjugated(u)
     for kind in ("standard", "adjoint"):
-        module = build_module(conj, kind)
+        module = CoefficientModule(conj, kind)
         report = h1_report(borromean, module, mode="per_subgroup")
         want = EXPECTED[kind]
         assert (report.dim_h1, report.dim_ph1) == (want["h1"], want["ph1"])

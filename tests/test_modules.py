@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from bendlab.linalg import RationalMatrix, rank_of_vectors
-from bendlab.modules import build_module, split_components
+from bendlab.modules import CoefficientModule, split_components
 from bendlab.reps import QuadraticForm
-from bendlab.words import Word
+from bendlab.words import GroupRingElem, Word
 
 
 def rand_word(rng, gens, max_len=8):
@@ -20,8 +20,22 @@ def test_dimensions(modules):
     assert modules["adjoint"].dimension == 6
 
 
-def test_standard_action_is_the_representation(modules, rho):
-    assert modules["standard"].action(Word.generator("x")) == rho.images["x"]
+def test_standard_action_is_the_representation(modules, rho, borromean):
+    module = modules["standard"]
+    assert module.action(Word.generator("x")) == rho.images["x"]
+    # against the representation and against a plain product of the images,
+    # on seeded words and group-ring elements
+    rng = random.Random(34)
+    words = [rand_word(rng, borromean.generators, 12) for _ in range(20)]
+    for w in words:
+        product = RationalMatrix.identity(rho.size)
+        for g, e in w.letters:
+            m = rho.images[g]
+            product = product * (m if e == 1 else m.inverse())
+        assert module.action(w) == rho.evaluate(w) == product
+    for _ in range(10):
+        e = GroupRingElem({rng.choice(words): rng.randint(-3, 3) for _ in range(3)})
+        assert module.action(e) == rho.evaluate(e)
 
 
 def test_action_is_homomorphism(modules, borromean):
@@ -170,4 +184,4 @@ def test_nu_basis_for_appendix_antidiagonal_form():
 
 def test_build_module_rejects_unknown_kind(rho):
     with pytest.raises(ValueError):
-        build_module(rho, "spin")
+        CoefficientModule(rho, "spin")

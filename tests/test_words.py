@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +56,31 @@ def test_parse_malformed():
         w("x^")
     with pytest.raises(WordError):
         w("x)")
+
+
+def test_parse_rejects_bad_generator_names():
+    for gens in (["x", "x y"], ["x", "1"], ["x", "(y)"], ["x", "y^"], ["x", 5],
+                 ["x", "x"], "xyz", 5):
+        with pytest.raises(WordError):
+            parse_word("x", gens)
+
+
+def test_empty_generator_name_is_rejected_without_hanging():
+    # at one time the parser looped forever on an empty name, so the check
+    # runs in a child process that a timeout can end
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("from bendlab.words import WordError, parse_word\n"
+            "try:\n    parse_word('x y', ['', 'x'])\n"
+            "except WordError:\n    raise SystemExit(3)\n")
+    done = subprocess.run([sys.executable, "-c", code], timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    assert done.returncode == 3, done.stderr
+
+
+def test_power_is_linear_and_reduces_at_seams():
+    assert len(w("(x y)^8000")) == 16000
+    assert w("(x y x^-1)^3") == w("x y^3 x^-1")
+    assert w("(x y x^-1)^-2") == w("x y^-2 x^-1")
 
 
 def test_multicharacter_generators():
@@ -157,6 +186,10 @@ def test_presentation_validation():
         Presentation(("x", "x"), ())
     with pytest.raises(WordError):
         Presentation(("x",), (Word((("y", 1),)),))
+    with pytest.raises(WordError):
+        Presentation(("x", ""), ())
+    with pytest.raises(WordError):
+        Presentation.from_json({"generators": 5, "relators": []})
 
 
 def test_presentation_json_roundtrip(borromean):
