@@ -76,7 +76,7 @@ def _load_representation(path: str | None, pres: Presentation) -> Representation
             raise InputError(str(exc)) from exc
     try:
         return Representation.from_json(_load_json(path), pres)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad representation file {path}: {exc}") from exc
 
 

@@ -42,21 +42,15 @@ class CocycleSpace:
         self.dim_h1 = self.dim_z1 - self.dim_b1
 
     def _build_jacobian(self) -> RationalMatrix:
-        d, g = self.module.dimension, len(self.presentation.generators)
-        rows = RationalMatrix.zeros(0, g * d)
-        for r in self.presentation.relators:
-            rows = rows.vstack(self.word_row(r))
-        return rows
+        return RationalMatrix.zeros(0, self.g * self.d).vstack(
+            *(self.word_row(r) for r in self.presentation.relators))
 
     def _build_coboundary_map(self) -> RationalMatrix:
         """(g*d) x d matrix whose columns span B^1: a -> ((I - x_i).a)_i."""
-        d = self.d
-        ident = RationalMatrix.identity(d)
-        out = None
-        for gen in self.presentation.generators:
-            block = ident - self.module.evaluator.letters[gen, 1]
-            out = block if out is None else out.vstack(block)
-        return out
+        ident = RationalMatrix.identity(self.d)
+        letters = self.module.evaluator.letters
+        return RationalMatrix.zeros(0, self.d).vstack(
+            *(ident - letters[gen, 1] for gen in self.presentation.generators))
 
     def word_row(self, w: Word) -> RationalMatrix:
         """d x (g*d) matrix evaluating c(w) from generator values: block i is
@@ -76,10 +70,7 @@ class CocycleSpace:
             else:
                 blocks[g] = blocks[g] - prefix * act
             prefix = prefix * act
-        out, *rest = blocks.values()
-        for block in rest:
-            out = out.hstack(block)
-        return out
+        return RationalMatrix.zeros(d, 0).hstack(*blocks.values())
 
     def coboundary(self, alpha) -> tuple[Fraction, ...]:
         return self._coboundary_map.matvec(alpha)
@@ -103,22 +94,14 @@ class CocycleSpace:
         ident = RationalMatrix.identity(d)
         condition_rows: list[list[Fraction]] = []
         for group in word_groups:
-            a_blocks = None
-            r_blocks = None
-            for w in group:
-                ablock = ident - self.module.action(w)
-                rblock = self.word_row(w)
-                a_blocks = ablock if a_blocks is None else a_blocks.vstack(ablock)
-                r_blocks = rblock if r_blocks is None else r_blocks.vstack(rblock)
-            for n in nullspace(a_blocks.transpose()):
-                # n^T (rhs of the group) must vanish: one row over c
-                row = [Fraction(0)] * (g * d)
-                for i, ni in enumerate(n):
-                    if ni:
-                        for j, rij in enumerate(r_blocks.row(i)):
-                            if rij:
-                                row[j] += ni * rij
-                condition_rows.append(row)
+            a_blocks = RationalMatrix.zeros(0, d).vstack(
+                *(ident - self.module.action(w) for w in group))
+            r_blocks = RationalMatrix.zeros(0, g * d).vstack(
+                *(self.word_row(w) for w in group))
+            left_kernel = nullspace(a_blocks.transpose())
+            if left_kernel:  # n^T (rhs of the group) must vanish: one row over c each
+                left = RationalMatrix.from_rows(left_kernel)
+                condition_rows.extend((left * r_blocks).to_rows())
         if not condition_rows:
             return self.dim_z1
         cond = RationalMatrix.from_rows(condition_rows)

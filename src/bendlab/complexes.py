@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import DEFAULT_FLOAT_TOLERANCE, FloatMatrix, RationalMatrix, nullspace
+from .linalg import DEFAULT_FLOAT_TOLERANCE, FloatMatrix, RationalMatrix, rref_rank
 
 NAMED_ANGLES = {
     "0": (Fraction(1), Fraction(0)),
@@ -237,7 +237,7 @@ def bending_dimension(complex_: BendingComplex, geometry: str,
     naive = len(complex_.walls) - a * len(complex_.bindings)
     ones = [1] * len(complex_.walls)
     if isinstance(system, RationalMatrix):
-        nullity = len(nullspace(system))
+        nullity = system.cols - rref_rank(system)[1]
         equal = all(v == 0 for v in system.matvec(ones))
         return BendingReport(nullity, naive, equal, True)
     return BendingReport(system.nullity(), naive, system.kills_vector(ones), False)

@@ -1,15 +1,17 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
-Scalars are ``fractions.Fraction`` (always lowest terms, positive
-denominator), so every operation here is exact. A small float backend
-exists only for systems whose coefficients are not rational (bending
-complexes with non-exact angles); its ranks are tolerance-based and
-flagged as approximate by callers.
+``RationalMatrix`` entries are ``fractions.Fraction``. All exact elimination
+(rank, RREF, nullspace, solve, inverse, det) runs in one fraction-free kernel
+on Python ints, :func:`_eliminate`; ``Fraction`` appears only at its boundary.
+A small float backend exists only for systems whose coefficients are not
+rational (bending complexes with non-exact angles); its ranks are
+tolerance-based and flagged as approximate by callers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 DEFAULT_FLOAT_TOLERANCE = 1e-9
 
@@ -141,19 +143,21 @@ class RationalMatrix:
             raise ValueError("trace of a non-square matrix")
         return sum((self[i, i] for i in range(self.rows)), Fraction(0))
 
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows:
+    def hstack(self, *others: "RationalMatrix") -> "RationalMatrix":
+        """Join ``self`` and ``others`` side by side, building the result once."""
+        blocks = (self, *others)
+        if any(b.rows != self.rows for b in others):
             raise ValueError("row count mismatch")
-        ent = []
-        for i in range(self.rows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return RationalMatrix(self.rows, self.cols + other.cols, ent)
+        return RationalMatrix(self.rows, sum(b.cols for b in blocks),
+                              [x for i in range(self.rows) for b in blocks for x in b.row(i)])
 
-    def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.cols:
+    def vstack(self, *others: "RationalMatrix") -> "RationalMatrix":
+        """Stack ``self`` above ``others``, building the result once."""
+        blocks = (self, *others)
+        if any(b.cols != self.cols for b in others):
             raise ValueError("column count mismatch")
-        return RationalMatrix(self.rows + other.rows, self.cols, self._e + other._e)
+        return RationalMatrix(sum(b.rows for b in blocks), self.cols,
+                              [x for b in blocks for x in b._e])
 
     def submatrix(self, row_range, col_range) -> "RationalMatrix":
         rr, cc = list(row_range), list(col_range)
@@ -187,23 +191,11 @@ class RationalMatrix:
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = self.to_rows()
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                f = m[r][c] * inv
-                if f:
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        return det
+        _, _, pivots, last, sign, scales = _eliminate(self)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        # the last Bareiss pivot is det(diag(scales) * self), up to the swaps
+        return Fraction(sign * last, prod(scales))
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in self.row(i)) + "]"
@@ -225,34 +217,62 @@ class RationalMatrix:
         return cls.from_rows([[Fraction(str(x)) for x in row] for row in data])
 
 
-def rref_rank(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
-    """Row-reduced echelon form, rank, and pivot columns, all exact.
-
-    Pivot selection: first nonzero entry in column order. Deterministic.
+def _eliminate(m: RationalMatrix):
+    """Fraction-free Gauss-Jordan on Python ints (Bareiss 1968), pivoting on
+    the first nonzero entry in column order, after scaling each row by the lcm
+    of its denominators. A pivot ``p`` replaces each row with ``f != 0`` in its
+    column by ``(p*a - f*b) // den``: ``den`` is the pivot that last updated
+    the row, whose true Bareiss value ``row * prev / den`` is an integer minor
+    (Sylvester's identity), so the division is exact. Rows with ``f == 0``
+    stay stale until they pivot. Returns (rows, dens, pivots, last pivot, swap
+    sign, row scales); the RREF is ``row / den``.
     """
-    rows = m.to_rows()
     nr, nc = m.rows, m.cols
+    scales = [lcm(*(x.denominator for x in m.row(i))) for i in range(nr)]
+    rows = [[x.numerator * (s // x.denominator) for x in m.row(i)]
+            for i, s in enumerate(scales)]
+    dens = [1] * nr
     pivots: list[int] = []
-    r = 0
+    prev, sign, r = 1, 1, 0
     for c in range(nc):
         if r == nr:
             break
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
+            dens[r], dens[piv] = dens[piv], dens[r]
+            sign = -sign
+        if dens[r] != prev:
+            d = dens[r]
+            rows[r] = [a * prev // d for a in rows[r]]
         prow = rows[r]
+        p = prow[c]
         for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                d = dens[i]
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                dens[i] = p
+        dens[r] = prev = p
         pivots.append(c)
         r += 1
-    return RationalMatrix.from_rows(rows) if nr else m, len(pivots), pivots
+    return rows, dens, pivots, prev, sign, scales
+
+
+def rref_rank(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
+    """Row-reduced echelon form, rank, and pivot columns, all exact.
+
+    Pivot selection: first nonzero entry in column order. Deterministic.
+    The elimination runs on integers (:func:`_eliminate`); each row is
+    divided by its pivot once, at the end.
+    """
+    rows, dens, pivots, _, _, _ = _eliminate(m)
+    zero = Fraction(0)
+    entries = [Fraction(a, d) if a else zero for row, d in zip(rows, dens) for a in row]
+    return RationalMatrix(m.rows, m.cols, entries), len(pivots), pivots
 
 
 def nullspace(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -289,9 +309,6 @@ def in_column_space(a: RationalMatrix, b) -> tuple[Fraction, ...] | None:
 
 def rank_of_vectors(vectors) -> int:
     """Rank of a list of equal-length rational vectors."""
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return 0
     return rref_rank(RationalMatrix.from_rows(vectors))[1]
 
 

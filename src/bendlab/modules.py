@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RationalMatrix, in_column_space, nullspace, rref_rank
+from .linalg import RationalMatrix, in_column_space, rref_rank
 from .reps import QuadraticForm, Representation, WordEvaluator
 from .words import Word
 
@@ -108,14 +108,12 @@ class CoefficientModule:
         # one elimination for all basis images: RREF of [columns | images]
         mi = m.inverse()
         d = self.dimension
-        aug = self._columns
-        for b in self.basis:
-            aug = aug.hstack(RationalMatrix.column(_vec(m * b * mi)))
+        aug = self._columns.hstack(
+            *(RationalMatrix.column(_vec(m * b * mi)) for b in self.basis))
         red, rank, pivots = rref_rank(aug)
         if rank != d or any(p >= d for p in pivots):
             raise ValueError("adjoint action does not preserve the module basis")
-        cols = [[red[r, d + j] for r in range(rank)] for j in range(d)]
-        return RationalMatrix(d, d, [cols[j][i] for i in range(d) for j in range(d)])
+        return red.submatrix(range(d), range(d, 2 * d))
 
     def to_coordinates(self, m: RationalMatrix) -> tuple[Fraction, ...]:
         coords = in_column_space(self._columns, _vec(m))
@@ -152,13 +150,9 @@ class CoefficientModule:
     def invariants_dim(self, ws) -> int:
         """Dimension of the joint fixed space of the listed words."""
         d = self.dimension
-        stacked = None
-        for w in ws:
-            block = self.action(w) - RationalMatrix.identity(d)
-            stacked = block if stacked is None else stacked.vstack(block)
-        if stacked is None:
-            return d
-        return len(nullspace(stacked))
+        ident = RationalMatrix.identity(d)
+        stacked = RationalMatrix.zeros(0, d).vstack(*(self.action(w) - ident for w in ws))
+        return d - rref_rank(stacked)[1]
 
 
 @dataclass

@@ -42,6 +42,13 @@ class Word:
         self.letters = _reduce(letters)
 
     @classmethod
+    def _reduced(cls, letters: tuple) -> "Word":
+        """Wrap a tuple of letters already known to be freely reduced."""
+        w = object.__new__(cls)
+        w.letters = letters
+        return w
+
+    @classmethod
     def generator(cls, name: str) -> "Word":
         return cls(((name, 1),))
 
@@ -266,16 +273,13 @@ def fox_derivative(w: Word, gen: str) -> GroupRingElem:
     d(g)/d(g) = 1, d(h)/d(g) = 0, d(g^-1)/d(g) = -g^-1, and the product rule
     d(uv)/d(g) = d(u)/d(g) + u d(v)/d(g).
     """
+    # w is freely reduced, so each term is a prefix slice (through the letter if e = -1)
     terms: dict[Word, int] = {}
-    prefix = Word.empty()
-    for g, e in w.letters:
+    letters = w.letters
+    for i, (g, e) in enumerate(letters):
         if g == gen:
-            if e == 1:
-                t = prefix
-            else:
-                t = prefix * Word(((g, -1),))
+            t = Word._reduced(letters[:i] if e == 1 else letters[:i + 1])
             terms[t] = terms.get(t, 0) + e
-        prefix = prefix * Word(((g, e),))
     return GroupRingElem(terms)
 
 

@@ -61,6 +61,22 @@ def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     assert done.stderr.startswith("error: bad presentation file")
 
 
+@pytest.mark.parametrize("rep", [
+    {"form": [["1"]], "images": 5},
+    [["1", "0"], ["0", "1"]],
+    {"form": [["1"]], "images": {"x": 5}},
+])
+def test_validate_malformed_representation_is_input_error(tmp_path, rep):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "bendlab.cli", "validate",
+                           "--rep", str(path)], timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: bad representation file")
+
+
 def test_cohomology_r31(capsys, fixture_files, tmp_path):
     out = tmp_path / "report.json"
     code, doc = run(capsys, "cohomology",

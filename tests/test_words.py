@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,42 @@ def test_fox_inverse_formula_randomized():
             lhs = fox_derivative(word.inverse(), g)
             rhs = -(fox_derivative(word, g).left_mul_word(word.inverse()))
             assert lhs == rhs
+
+
+def product_rule_walk(word, gen):
+    """The Fox derivative by its definition: grow the prefix one letter at a
+    time with Word products (quadratic, so only for short words)."""
+    terms = {}
+    prefix = Word.empty()
+    for g, e in word.letters:
+        if g == gen:
+            t = prefix if e == 1 else prefix * Word(((g, -1),))
+            terms[t] = terms.get(t, 0) + e
+        prefix = prefix * Word(((g, e),))
+    return GroupRingElem(terms)
+
+
+def test_fox_derivative_matches_product_rule_walk():
+    rng = random.Random(10)
+    for _ in range(200):
+        word = rand_word(rng, 40)
+        for g in GENS:
+            assert fox_derivative(word, g) == product_rule_walk(word, g), (word, g)
+
+
+def test_fox_derivative_of_a_long_word_is_fast():
+    # 4,000 letters took 3.4 s when every step rebuilt the prefix word
+    rng = random.Random(11)
+    letters = []
+    while len(letters) < 4000:
+        letters = list(Word(letters + [(rng.choice(GENS), rng.choice((1, -1)))
+                                       for _ in range(500)]).letters)
+    word = Word(letters[:4000])
+    start = time.perf_counter()
+    d = fox_derivative(word, "x")
+    elapsed = time.perf_counter() - start
+    assert len(d.terms) == sum(1 for g, _ in word.letters if g == "x")
+    assert elapsed < 1.5, f"{elapsed:.2f} s"
 
 
 def test_group_ring_associative_distributive():
