@@ -38,6 +38,8 @@ class BendingDatum:
     @classmethod
     def from_json(cls, data: dict, presentation: Presentation,
                   geometry: str) -> "BendingDatum":
+        if not (isinstance(data, dict) and isinstance(data.get("subgroup"), list)):
+            raise ValueError('a wall is a JSON object with a "subgroup" list of words')
         gens = presentation.generators
         return cls(data.get("name", "?"),
                    tuple(parse_word(w, gens) for w in data["subgroup"]),

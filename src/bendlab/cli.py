@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -36,6 +37,10 @@ class InputError(Exception):
     pass
 
 
+# what a parseable input file of the wrong shape raises while it is loaded
+_MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError)
+
+
 def _float_tolerance() -> float:
     raw = os.environ.get("BENDLAB_FLOAT_TOL")
     if raw is None:
@@ -44,8 +49,8 @@ def _float_tolerance() -> float:
         tol = float(raw)
     except ValueError as exc:
         raise InputError(f"BENDLAB_FLOAT_TOL is not a number: {raw!r}") from exc
-    if tol <= 0:
-        raise InputError("BENDLAB_FLOAT_TOL must be positive")
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise InputError("BENDLAB_FLOAT_TOL must be positive and finite")
     return tol
 
 
@@ -55,7 +60,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -64,7 +69,7 @@ def _load_presentation(path: str | None) -> Presentation:
         return fixtures.load_presentation()
     try:
         return Presentation.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"bad presentation file {path}: {exc}") from exc
 
 
@@ -76,8 +81,33 @@ def _load_representation(path: str | None, pres: Presentation) -> Representation
             raise InputError(str(exc)) from exc
     try:
         return Representation.from_json(_load_json(path), pres)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"bad representation file {path}: {exc}") from exc
+
+
+def _load_complex(path: str) -> BendingComplex:
+    try:
+        return BendingComplex.from_json(_load_json(path))
+    except _MALFORMED as exc:
+        raise InputError(f"bad complex file {path}: {exc}") from exc
+
+
+def _load_pants(path: str, pres: Presentation, geometry: str) -> list[BendingDatum]:
+    try:
+        pants = _load_json(path)
+        if not isinstance(pants, list):
+            raise ValueError("a pants file is a JSON list of walls")
+        return [BendingDatum.from_json(entry, pres, geometry) for entry in pants]
+    except _MALFORMED as exc:
+        raise InputError(f"bad pants file {path}: {exc}") from exc
+
+
+def _require_valid(rep: Representation, what: str) -> None:
+    validation = validate_representation(rep)
+    if not validation.ok:
+        bad = [str(c.relator) for c in validation.relator_checks if not c.is_identity]
+        raise InputError(f"{what} failed validation" + (
+            f"; relators not killed: {bad}" if bad else " (form or determinant)"))
 
 
 def _emit(document: dict, output: str | None) -> None:
@@ -99,15 +129,9 @@ def cmd_validate(args) -> int:
 def cmd_cohomology(args) -> int:
     pres = _load_presentation(args.presentation)
     rep = _load_representation(args.rep, pres)
-    validation = validate_representation(rep)
-    if not validation.ok:
-        bad = [c.relator for c in validation.relator_checks if not c.is_identity]
-        raise InputError("representation failed validation"
-                         + (f"; relators not killed: {[str(r) for r in bad]}"
-                            if bad else " (form or determinant)"))
+    _require_valid(rep, "representation")
     kind = COEFFICIENT_KINDS[args.coefficients]
-    mode = {"per-element": "per_element", "per-subgroup": "per_subgroup",
-            "none": "none"}[args.parabolic]
+    mode = args.parabolic.replace("-", "_")
     module = CoefficientModule(rep, kind)
     space = CocycleSpace(pres, module)
     report = h1_report(pres, module, mode=mode, space=space)
@@ -132,10 +156,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_branched_system(args) -> int:
-    try:
-        cx = BendingComplex.from_json(_load_json(args.complex))
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad complex file {args.complex}: {exc}") from exc
+    cx = _load_complex(args.complex)
     tol = _float_tolerance()
     report = bending_dimension(cx, args.geometry, tol)
     doc = report.to_json()
@@ -149,19 +170,15 @@ def cmd_bend(args) -> int:
     pres = _load_presentation(args.presentation)
     rep = _load_representation(args.rep, pres)
     geometry = "sl" if args.geometry == "sl" else "so_ext"
-    try:
-        data = [BendingDatum.from_json(entry, pres, geometry)
-                for entry in _load_json(args.pants)]
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"bad pants file {args.pants}: {exc}") from exc
+    data = _load_pants(args.pants, pres, geometry)
     words = []
     if args.words:
         try:
             with open(args.words) as fh:
                 words = [parse_word(ln.strip(), pres.generators)
                          for ln in fh if ln.strip()]
-        except OSError as exc:
-            raise InputError(f"cannot read {args.words}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise InputError(f"bad words file {args.words}: {exc}") from exc
     kind = "nu" if geometry == "sl" else "standard"
     module = CoefficientModule(rep, kind)
     space = CocycleSpace(pres, module)
@@ -202,13 +219,7 @@ def cmd_borromean(args) -> int:
     if args.presentation or args.rep:
         # overridden fixture: run validation first, abort with a diagnostic
         pres = _load_presentation(args.presentation)
-        rep = _load_representation(args.rep, pres)
-        validation = validate_representation(rep)
-        if not validation.ok:
-            bad = [str(c.relator) for c in validation.relator_checks
-                   if not c.is_identity]
-            raise InputError("fixture override failed validation; "
-                             f"relators not killed: {bad}")
+        _require_valid(_load_representation(args.rep, pres), "fixture override")
     checks = run_fixture_suite(coefficients=args.coefficients, cases=args.cases)
     for c in checks:
         print(c.line(), file=sys.stderr)

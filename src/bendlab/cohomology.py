@@ -6,6 +6,13 @@ generators as one stacked (g*d)-vector. Coboundaries are c(w) = (I - w).a.
 The parabolic subspace PZ^1 imposes c(w) in im(I - w) for listed words (one
 auxiliary vector per word); the cuspidal subspace shares one auxiliary vector
 per cusp across its meridian and longitude.
+
+Both reduce to one test: c restricted to a group of words is a coboundary
+there when the stacked values (c(w))_w lie in the image of
+``CoefficientModule.coboundary_map``, i.e. are killed by its left kernel. That
+left kernel times the stacked ``word_row``s gives exact condition rows over c.
+PZ^1 is the kernel of those rows stacked under the Fox Jacobian, so its
+dimension is one rank; a cusp is cuspidal-trivial when its rows kill c.
 """
 
 from __future__ import annotations
@@ -31,26 +38,17 @@ class CocycleSpace:
         self.module = module
         self.d = module.dimension
         self.g = len(presentation.generators)
-        self.jacobian = self._build_jacobian()
+        self.jacobian = RationalMatrix.zeros(0, self.g * self.d).vstack(
+            *(self.word_row(r) for r in presentation.relators))
         self.z1_basis = nullspace(self.jacobian)
-        self._coboundary_map = self._build_coboundary_map()
+        self._coboundary_map = module.coboundary_map(
+            [Word.generator(g) for g in presentation.generators])
         red, rank, pivots = rref_rank(self._coboundary_map)
         self.b1_basis = [self._coboundary_map.col(p) for p in pivots]
         self.dim_z1 = len(self.z1_basis)
         self.dim_b1 = rank
         self.dim_h0 = self.d - rank
         self.dim_h1 = self.dim_z1 - self.dim_b1
-
-    def _build_jacobian(self) -> RationalMatrix:
-        return RationalMatrix.zeros(0, self.g * self.d).vstack(
-            *(self.word_row(r) for r in self.presentation.relators))
-
-    def _build_coboundary_map(self) -> RationalMatrix:
-        """(g*d) x d matrix whose columns span B^1: a -> ((I - x_i).a)_i."""
-        ident = RationalMatrix.identity(self.d)
-        letters = self.module.evaluator.letters
-        return RationalMatrix.zeros(0, self.d).vstack(
-            *(ident - letters[gen, 1] for gen in self.presentation.generators))
 
     def word_row(self, w: Word) -> RationalMatrix:
         """d x (g*d) matrix evaluating c(w) from generator values: block i is
@@ -64,12 +62,12 @@ class CocycleSpace:
         blocks = {g: RationalMatrix.zeros(d, d) for g in self.presentation.generators}
         prefix = RationalMatrix.identity(d)
         for g, e in w.letters:
-            act = letters[g, e]
             if e == 1:
                 blocks[g] = blocks[g] + prefix
+                prefix = prefix * letters[g, 1]
             else:
-                blocks[g] = blocks[g] - prefix * act
-            prefix = prefix * act
+                prefix = prefix * letters[g, -1]
+                blocks[g] = blocks[g] - prefix
         return RationalMatrix.zeros(d, 0).hstack(*blocks.values())
 
     def coboundary(self, alpha) -> tuple[Fraction, ...]:
@@ -82,46 +80,29 @@ class CocycleSpace:
     def is_cocycle(self, c) -> bool:
         return all(v == 0 for v in self.jacobian.matvec(c))
 
+    def _coboundary_conditions(self, group) -> RationalMatrix:
+        """Rows over c that all vanish exactly when one alpha gives
+        c(w) = (I - w).alpha for every w in the group: the system is solvable
+        when its right-hand side is killed by the left kernel of its matrix."""
+        left = nullspace(self.module.coboundary_map(group).transpose())
+        rows = RationalMatrix.zeros(0, self.g * self.d).vstack(
+            *(self.word_row(w) for w in group))
+        return RationalMatrix(len(left), rows.rows, [x for v in left for x in v]) * rows
+
     def parabolic_kernel_dim(self, word_groups) -> int:
         """Dimension of {c in Z^1 : for each group there is one alpha with
-        c(w) = (I - w).alpha for every w in the group}.
-
-        Solvability of the per-group system A alpha = rhs(c) is equivalent to
-        rhs(c) being killed by a basis of the left kernel of A, which turns
-        the existential into exact linear conditions on c.
-        """
-        d, g = self.d, self.g
-        ident = RationalMatrix.identity(d)
-        condition_rows: list[list[Fraction]] = []
-        for group in word_groups:
-            a_blocks = RationalMatrix.zeros(0, d).vstack(
-                *(ident - self.module.action(w) for w in group))
-            r_blocks = RationalMatrix.zeros(0, g * d).vstack(
-                *(self.word_row(w) for w in group))
-            left_kernel = nullspace(a_blocks.transpose())
-            if left_kernel:  # n^T (rhs of the group) must vanish: one row over c each
-                left = RationalMatrix.from_rows(left_kernel)
-                condition_rows.extend((left * r_blocks).to_rows())
-        if not condition_rows:
-            return self.dim_z1
-        cond = RationalMatrix.from_rows(condition_rows)
-        restricted = [cond.matvec(z) for z in self.z1_basis]
-        # rows of the restricted map are indexed by conditions; rank over Z^1
-        return self.dim_z1 - rank_of_vectors(restricted)
+        c(w) = (I - w).alpha for every w in the group}: the nullity of the
+        Jacobian stacked over every group's coboundary conditions."""
+        stacked = self.jacobian.vstack(
+            *(self._coboundary_conditions(group) for group in word_groups))
+        return stacked.cols - rref_rank(stacked)[1]
 
     def cuspidal_defect(self, c) -> list[bool]:
         """Per cusp: True when the restricted class is trivial there, i.e. one
         alpha gives c(w) = (I - w).alpha on both the meridian and the
         longitude. True therefore means there is no defect at that cusp."""
-        d = self.d
-        ident = RationalMatrix.identity(d)
-        value = self.module.cocycle_value
-        out = []
-        for mu, lam in self.presentation.cusps:
-            a = (ident - self.module.action(mu)).vstack(ident - self.module.action(lam))
-            rhs = list(value(c, mu)) + list(value(c, lam))
-            out.append(in_column_space(a, rhs) is not None)
-        return out
+        return [not any(self._coboundary_conditions(cusp).matvec(c))
+                for cusp in self.presentation.cusps]
 
 
 def cocycle_eval(space: CocycleSpace, c, w: Word) -> tuple[Fraction, ...]:
@@ -206,14 +187,12 @@ def h1_report(presentation: Presentation, module: CoefficientModule,
         if parabolic_words is None:
             parabolic_words = default_parabolic_words(presentation)
         groups = [[w] for w in parabolic_words]
-        flat = list(parabolic_words)
     else:
         if not presentation.cusps:
             raise ValueError("per_subgroup mode needs cusp data")
-        groups = [[mu, lam] for mu, lam in presentation.cusps]
-        flat = [w for pair in presentation.cusps for w in pair]
+        groups = [list(pair) for pair in presentation.cusps]
 
-    for w in flat:
+    for w in (w for group in groups for w in group):
         if not is_parabolic(module.rep.evaluate(w)):
             report.warnings.append(f"word {w} is not parabolic under the representation")
 

@@ -61,7 +61,7 @@ class Angle:
 
     @classmethod
     def float_pair(cls, cos: float, sin: float) -> "Angle":
-        if abs(cos * cos + sin * sin - 1.0) > FLOAT_CIRCLE_TOL:
+        if not abs(cos * cos + sin * sin - 1.0) <= FLOAT_CIRCLE_TOL:  # and nan
             raise ValueError(f"cos^2 + sin^2 != 1 within {FLOAT_CIRCLE_TOL}")
         return cls(cos, sin, False)
 
@@ -69,6 +69,8 @@ class Angle:
     def from_json(cls, data) -> "Angle":
         if isinstance(data, str):
             return cls.named(data)
+        if not isinstance(data, dict):
+            raise ValueError(f'an angle is a name or a {{"cos", "sin"}} object, got {data!r}')
         c, s = data["cos"], data["sin"]
         if isinstance(c, str) and isinstance(s, str):
             return cls.exact_pair(Fraction(c), Fraction(s))
@@ -118,6 +120,9 @@ class Binding:
 
     @classmethod
     def from_json(cls, data: dict) -> "Binding":
+        if not (isinstance(data, dict) and isinstance(data.get("incidences"), list)
+                and all(isinstance(i, dict) for i in data["incidences"])):
+            raise ValueError('a binding is a JSON object with an "incidences" list of objects')
         incs = tuple(Incidence(i["wall"], Angle.from_json(i["angle"]),
                                int(i.get("sign", 1)))
                      for i in data["incidences"])
@@ -151,6 +156,9 @@ class BendingComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "BendingComplex":
+        if not (isinstance(data, dict) and isinstance(data.get("walls"), list)
+                and isinstance(data.get("bindings", []), list)):
+            raise ValueError('a complex is a JSON object with "walls" and "bindings" lists')
         return cls(int(data["dimension"]), tuple(data["walls"]),
                    tuple(Binding.from_json(b) for b in data.get("bindings", [])))
 

@@ -25,11 +25,8 @@ def _vec(m: RationalMatrix) -> list[Fraction]:
     return [m[i, j] for i in range(m.rows) for j in range(m.cols)]
 
 
-def _basis_columns(basis) -> RationalMatrix:
-    cols = [_vec(b) for b in basis]
-    n2 = len(cols[0])
-    return RationalMatrix(n2, len(cols), [cols[j][i] for i in range(n2)
-                                          for j in range(len(cols))])
+def _as_columns(matrices) -> RationalMatrix:
+    return RationalMatrix.from_rows([_vec(b) for b in matrices]).transpose()
 
 
 def nu_basis(form: QuadraticForm) -> list[RationalMatrix]:
@@ -99,17 +96,15 @@ class CoefficientModule:
                 raise ValueError(f"{kind} basis has {len(self.basis)} elements, "
                                  f"expected {expected}")
             self.dimension = expected
-            self._columns = _basis_columns(self.basis)
+            self._columns = _as_columns(self.basis)
             self.evaluator = WordEvaluator(
-                {g: self._ad_matrix(rep.images[g]) for g in rep.presentation.generators},
-                expected)
+                {g: self._ad_matrix(rep.image(g), rep.image(g, -1))
+                 for g in rep.presentation.generators}, expected)
 
-    def _ad_matrix(self, m: RationalMatrix) -> RationalMatrix:
+    def _ad_matrix(self, m: RationalMatrix, mi: RationalMatrix) -> RationalMatrix:
         # one elimination for all basis images: RREF of [columns | images]
-        mi = m.inverse()
         d = self.dimension
-        aug = self._columns.hstack(
-            *(RationalMatrix.column(_vec(m * b * mi)) for b in self.basis))
+        aug = self._columns.hstack(_as_columns(m * b * mi for b in self.basis))
         red, rank, pivots = rref_rank(aug)
         if rank != d or any(p >= d for p in pivots):
             raise ValueError("adjoint action does not preserve the module basis")
@@ -147,12 +142,15 @@ class CoefficientModule:
                 v = letters[g, -1].matvec([a - b for a, b in zip(v, at[g])])
         return v
 
+    def coboundary_map(self, words) -> RationalMatrix:
+        """The stacked map a -> ((I - w).a)_w over the listed words."""
+        ident = RationalMatrix.identity(self.dimension)
+        return RationalMatrix.zeros(0, self.dimension).vstack(
+            *(ident - self.action(w) for w in words))
+
     def invariants_dim(self, ws) -> int:
         """Dimension of the joint fixed space of the listed words."""
-        d = self.dimension
-        ident = RationalMatrix.identity(d)
-        stacked = RationalMatrix.zeros(0, d).vstack(*(self.action(w) - ident for w in ws))
-        return d - rref_rank(stacked)[1]
+        return self.dimension - rref_rank(self.coboundary_map(ws))[1]
 
 
 @dataclass

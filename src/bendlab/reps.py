@@ -10,6 +10,12 @@ from .linalg import RationalMatrix
 from .words import GroupRingElem, Presentation, Word
 
 
+def _with_unit(m: RationalMatrix) -> RationalMatrix:
+    """diag(m, 1): m acting on one extra, fixed coordinate."""
+    return m.hstack(RationalMatrix.zeros(m.rows, 1)).vstack(
+        RationalMatrix.zeros(1, m.cols).hstack(RationalMatrix.identity(1)))
+
+
 class QuadraticForm:
     """Symmetric invertible form matrix."""
 
@@ -33,12 +39,7 @@ class QuadraticForm:
 
     def extend_by_one(self) -> "QuadraticForm":
         """The form on one extra dimension: Q + (1)."""
-        n = self.size
-        rows = []
-        for i in range(n):
-            rows.append(list(self.matrix.row(i)) + [Fraction(0)])
-        rows.append([Fraction(0)] * n + [Fraction(1)])
-        return QuadraticForm(RationalMatrix.from_rows(rows))
+        return QuadraticForm(_with_unit(self.matrix))
 
     def preserved_by(self, m: RationalMatrix) -> bool:
         return m.transpose() * self.matrix * m == self.matrix
@@ -117,12 +118,7 @@ class Representation:
     def embedded_in_extension(self) -> "Representation":
         """Block-diagonal embedding with an extra fixed coordinate, preserving
         the extended form Q + (1)."""
-        n1 = self.size
-        images = {}
-        for g, m in self.images.items():
-            rows = [list(m.row(i)) + [Fraction(0)] for i in range(n1)]
-            rows.append([Fraction(0)] * n1 + [Fraction(1)])
-            images[g] = RationalMatrix.from_rows(rows)
+        images = {g: _with_unit(m) for g, m in self.images.items()}
         return Representation(self.presentation, images, self.form.extend_by_one())
 
     @classmethod

@@ -8,12 +8,16 @@ Grammar accepted by :func:`parse_word`::
     atom := generator | '(' word ')' | '[' word ',' word ']'
 
 ``[a,b]`` is the commutator a b a^-1 b^-1. Whitespace and ``*`` are optional
-separators. ``atom^0`` is legal and yields the empty word.
+separators. ``atom^0`` is legal and yields the empty word. More than
+``MAX_WORD_LETTERS`` letters before free reduction, or brackets nested too
+deeply, raise :class:`WordError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+MAX_WORD_LETTERS = 100_000
 
 
 class WordError(ValueError):
@@ -28,6 +32,11 @@ def _reduce(letters):
         else:
             out.append((g, e))
     return tuple(out)
+
+
+def _check_length(n: int) -> None:
+    if n > MAX_WORD_LETTERS:
+        raise WordError(f"word of {n} letters exceeds {MAX_WORD_LETTERS}")
 
 
 class Word:
@@ -217,21 +226,24 @@ class _Parser:
             raise WordError(f"expected integer at position {start} in {self.text!r}")
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
+        if self.pos - start > 8:  # past any letter bound; int() of long runs is slow
+            raise WordError(f"exponent too large at position {start} in {self.text!r}")
         return int(self.text[start:self.pos])
 
     def parse_word(self, closers=""):
-        out = Word.empty()
-        while True:
-            ch = self.peek()
-            if ch == "" or ch in closers:
-                return out
-            out = out * self.parse_term()
+        letters = []  # reduced once at the end: linear in the text
+        while (ch := self.peek()) != "" and ch not in closers:
+            letters.extend(self.parse_term().letters)
+            _check_length(len(letters))
+        return Word(letters)
 
     def parse_term(self):
         atom = self.parse_atom()
         if self.peek() == "^":
             self.pos += 1
-            return atom ** self.parse_int()
+            k = self.parse_int()
+            _check_length(len(atom) * abs(k))
+            return atom ** k
         return atom
 
     def parse_atom(self):
@@ -247,6 +259,7 @@ class _Parser:
             self.expect(",")
             b = self.parse_word(closers="]")
             self.expect("]")
+            _check_length(2 * (len(a) + len(b)))
             return a.commutator(b)
         g = self.match_generator()
         if g is not None:
@@ -259,8 +272,13 @@ class _Parser:
 
 def parse_word(text: str, generators) -> Word:
     """Parse ``text`` over the named generators; result is freely reduced."""
+    if not isinstance(text, str):
+        raise WordError(f"a word is a string, got {text!r}")
     p = _Parser(text, generator_names(generators))
-    w = p.parse_word()
+    try:
+        w = p.parse_word()
+    except RecursionError:
+        raise WordError(f"brackets nested too deeply in {text[:40]!r}...") from None
     p.skip()
     if p.pos != len(p.text):
         raise WordError(f"trailing input at position {p.pos} in {text!r}")

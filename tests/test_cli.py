@@ -225,3 +225,86 @@ def test_deterministic_output(capsys):
     _, doc1 = run(capsys, "cohomology", "--coefficients", "r31")
     _, doc2 = run(capsys, "cohomology", "--coefficients", "r31")
     assert json.dumps(doc1) == json.dumps(doc2)
+
+
+def run_child(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "bendlab.cli", *argv], timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+
+
+def fixture_complex(**changes):
+    return dict(_read_json("borromean_complex.json"), **changes)
+
+
+def complex_with_angle(angle):
+    cx = fixture_complex()
+    cx["bindings"][0]["incidences"][1]["angle"] = angle
+    return cx
+
+
+@pytest.mark.parametrize("data", [
+    [1],
+    fixture_complex(bindings=5),
+    fixture_complex(walls=5),
+    fixture_complex(walls=[["w1"]]),
+    fixture_complex(bindings=[5]),
+    fixture_complex(bindings=[{"name": "A", "incidences": [5]}]),
+    complex_with_angle(5),
+    complex_with_angle({"cos": "1/0", "sin": "0"}),
+])
+def test_branched_system_malformed_complex_is_input_error(tmp_path, data):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    done = run_child("branched-system", str(path), "--geometry", "so")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: bad complex file"), done.stderr
+
+
+NAN_ANGLE = json.dumps(complex_with_angle({"cos": 0.6, "sin": 0.8})).replace("0.6", "NaN")
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"dimension": Infinity, "walls": [], "bindings": []}', "bad complex file"),
+    ('{"dimension": 3, "walls": ["a"], "bindings": [{"name": "A", "incidences": '
+     '[{"wall": "a", "angle": "0", "sign": -Infinity}]}]}', "bad complex file"),
+    (NAN_ANGLE, "bad complex file"),
+    ("[" * 100_000, "is not valid JSON"),
+], ids=["infinite-dimension", "infinite-sign", "nan-angle", "deep"])
+def test_branched_system_non_finite_or_deep_json_is_input_error(tmp_path, text, error):
+    path = tmp_path / "complex.json"
+    path.write_text(text)
+    done = run_child("branched-system", str(path), "--geometry", "so")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and error in done.stderr, done.stderr
+
+
+@pytest.mark.parametrize("pants", [
+    [1],
+    {"subgroup": ["x"], "stable": "y"},
+    [{"subgroup": 5, "stable": "y"}],
+    [{"subgroup": [5], "stable": "y"}],
+    [{"subgroup": ["x"], "stable": ["y"]}],
+])
+def test_bend_malformed_pants_is_input_error(tmp_path, pants):
+    path = tmp_path / "pants.json"
+    path.write_text(json.dumps(pants))
+    done = run_child("bend", "--pants", str(path), "--geometry", "so")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: bad pants file"), done.stderr
+
+
+@pytest.mark.parametrize("line", ["x (", "x^99999999999", "q"])
+def test_bend_malformed_words_is_input_error(tmp_path, fixture_files, line):
+    words = tmp_path / "words.txt"
+    words.write_text(f"x y\n{line}\n")
+    done = run_child("bend", "--pants", fixture_files["pants"], "--words", str(words))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: bad words file"), done.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_branched_system_rejects_non_finite_tolerance(fixture_files, monkeypatch, tol):
+    monkeypatch.setenv("BENDLAB_FLOAT_TOL", tol)
+    assert main(["branched-system", fixture_files["complex"], "--geometry", "so"]) == 2

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bendlab.words import (GroupRingElem, Presentation, Word, WordError,
-                           fox_derivative, parse_word)
+from bendlab.words import (MAX_WORD_LETTERS, GroupRingElem, Presentation, Word,
+                           WordError, fox_derivative, parse_word)
 
 GENS = ("x", "y", "z")
 
@@ -82,6 +82,37 @@ def test_power_is_linear_and_reduces_at_seams():
     assert len(w("(x y)^8000")) == 16000
     assert w("(x y x^-1)^3") == w("x y^3 x^-1")
     assert w("(x y x^-1)^-2") == w("x y^-2 x^-1")
+
+
+def test_parse_is_linear_in_the_text():
+    # 16,000 one-letter terms took 51 s when each term rebuilt the whole word
+    start = time.perf_counter()
+    word = w("x y " * 20_000 + "(y^-1 x^-1)^20000")
+    elapsed = time.perf_counter() - start
+    assert word == Word.empty()
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("text", [
+    "x^99999999999", "x^" + "9" * 5000, f"(x y)^{MAX_WORD_LETTERS // 2 + 1}",
+    f"[x^{MAX_WORD_LETTERS // 2}, y]", "[" * 20 + "x,y]" + ",y]" * 19,
+    f"x^{MAX_WORD_LETTERS} y",
+], ids=["eleven-digit-power", "long-digit-run", "long-power", "long-commutator",
+        "nested-commutators", "long-product"])
+def test_parse_rejects_words_past_the_letter_bound(text):
+    start = time.perf_counter()
+    with pytest.raises(WordError):
+        w(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(w(f"x^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+
+
+def test_parse_rejects_deep_brackets_and_non_strings():
+    with pytest.raises(WordError, match="nested too deeply"):
+        w("(" * 5000 + "x" + ")" * 5000)
+    for text in (5, None, ["x"], b"x"):
+        with pytest.raises(WordError):
+            w(text)
 
 
 def test_multicharacter_generators():
