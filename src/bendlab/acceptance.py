@@ -19,7 +19,7 @@ from .cohomology import (CocycleSpace, class_span_dim, cocycle_eval, h1_report,
 from .complexes import (Angle, BendingComplex, Binding, Incidence,
                         bending_dimension, build_system)
 from .fixtures import FixtureBundle, load_bundle
-from .linalg import RationalMatrix, rank_of_vectors, rref_rank
+from .linalg import RationalMatrix, nullspace, rank_of_vectors, rref_rank
 from .modules import CoefficientModule
 from .reps import first_order_evaluate
 from .words import GroupRingElem, Word, fox_derivative
@@ -347,7 +347,6 @@ def suite_coboundary_identity(ctx: SuiteContext, cases: int, seed: int = 102):
 
 
 def suite_rank_nullity(ctx: SuiteContext, cases: int, seed: int = 103):
-    from .linalg import nullspace as _nullspace
     rng = random.Random(seed)
     bad = 0
     for _ in range(cases):
@@ -357,7 +356,7 @@ def suite_rank_nullity(ctx: SuiteContext, cases: int, seed: int = 103):
                            [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                             for _ in range(rows * cols)])
         _, rank, _ = rref_rank(m)
-        if rank + len(_nullspace(m)) != cols:
+        if rank + len(nullspace(m)) != cols:
             bad += 1
     return CheckResult("13", f"rank-nullity ({cases} cases)", bad == 0, 0, bad)
 

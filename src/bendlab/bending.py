@@ -146,7 +146,7 @@ def centralizer_generator(rep: Representation, datum: BendingDatum) -> BendingGe
     if c is None:
         raise ValueError("so_ext normalization scale is irrational for this datum")
     v = x0.scale(c)
-    first = next((e for e in v._e if e != 0), None)
+    first = next((e for i in range(v.rows) for e in v.row(i) if e), None)
     if first is not None and first < 0:
         v = -v
     if not (v * v * v + v).is_zero():
@@ -216,10 +216,7 @@ def trace_derivative_matrix(rep: Representation, data, words) -> RationalMatrix:
         v = centralizer_generator(rep, datum)
         fo = hnn_first_order(rep, datum, v)
         columns.append([first_order_evaluate(fo, w)[1].trace() for w in words])
-    nrows = len(words)
-    ncols = len(columns)
-    return RationalMatrix(nrows, ncols,
-                          [columns[j][i] for i in range(nrows) for j in range(ncols)])
+    return RationalMatrix(len(columns), len(words), [x for c in columns for x in c]).transpose()
 
 
 def match_up_to_column_signs_and_scale(computed: RationalMatrix,
@@ -231,33 +228,11 @@ def match_up_to_column_signs_and_scale(computed: RationalMatrix,
         return None
     ratios = []
     for j in range(reference.cols):
-        ratio = None
-        for i in range(reference.rows):
-            if reference[i, j] != 0:
-                if computed[i, j] == 0:
-                    return None
-                ratio = computed[i, j] / reference[i, j]
-                break
-        if ratio is None:
-            if any(computed[i, j] != 0 for i in range(reference.rows)):
-                return None
-            ratio = Fraction(0)
-        ratios.append(ratio)
-    nonzero = [r for r in ratios if r != 0]
-    if not nonzero:
-        return Fraction(1), [1] * reference.cols
-    scale = nonzero[0]
-    signs = []
-    for j, r in enumerate(ratios):
-        if r == 0:
-            signs.append(1)
-        elif r == scale:
-            signs.append(1)
-        elif r == -scale:
-            signs.append(-1)
-        else:
-            return None
-        for i in range(reference.rows):
-            if computed[i, j] != scale * signs[-1] * reference[i, j]:
-                return None
-    return scale, signs
+        i = next((i for i in range(reference.rows) if reference[i, j]), None)
+        ratios.append(Fraction(0) if i is None else computed[i, j] / reference[i, j])
+    scale = next((r for r in ratios if r), Fraction(1))
+    signs = [1 if r in (0, scale) else -1 if r == -scale else 0 for r in ratios]
+    n = reference.cols
+    diag = RationalMatrix(n, n, [scale * signs[i] if i == j else 0
+                                 for i in range(n) for j in range(n)])
+    return (scale, signs) if all(signs) and reference * diag == computed else None

@@ -121,8 +121,7 @@ def class_span_dim(space: CocycleSpace, cocycles) -> int:
         if not space.is_cocycle(c):
             raise ValueError("vector is not a cocycle (fails the Fox-Jacobian kernel)")
         vecs.append(c)
-    stacked = [list(b) for b in space.b1_basis] + vecs
-    return rank_of_vectors(stacked) - space.dim_b1
+    return rank_of_vectors(space.b1_basis + vecs) - space.dim_b1
 
 
 def is_cuspidal(space: CocycleSpace, c) -> bool:

@@ -19,7 +19,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import DEFAULT_FLOAT_TOLERANCE, FloatMatrix, RationalMatrix, rref_rank
+from .linalg import (DEFAULT_FLOAT_TOLERANCE, FloatMatrix, RationalMatrix, parse_rational,
+                     rref_rank)
 
 NAMED_ANGLES = {
     "0": (Fraction(1), Fraction(0)),
@@ -49,7 +50,7 @@ class Angle:
 
     @classmethod
     def exact_pair(cls, cos, sin) -> "Angle":
-        c, s = Fraction(cos), Fraction(sin)
+        c, s = parse_rational(cos), parse_rational(sin)
         if c * c + s * s != 1:
             raise ValueError(f"cos^2 + sin^2 != 1 for ({c}, {s})")
         return cls(c, s, True)
@@ -73,7 +74,7 @@ class Angle:
             raise ValueError(f'an angle is a name or a {{"cos", "sin"}} object, got {data!r}')
         c, s = data["cos"], data["sin"]
         if isinstance(c, str) and isinstance(s, str):
-            return cls.exact_pair(Fraction(c), Fraction(s))
+            return cls.exact_pair(c, s)
         return cls.float_pair(float(c), float(s))
 
     def to_json(self):

@@ -21,12 +21,10 @@ from .words import Word
 KINDS = ("standard", "nu", "adjoint")
 
 
-def _vec(m: RationalMatrix) -> list[Fraction]:
-    return [m[i, j] for i in range(m.rows) for j in range(m.cols)]
-
-
 def _as_columns(matrices) -> RationalMatrix:
-    return RationalMatrix.from_rows([_vec(b) for b in matrices]).transpose()
+    """The matrices, each flattened row-major, as the columns of one matrix."""
+    flat = [b.reshape(1, b.rows * b.cols) for b in matrices]
+    return flat[0].vstack(*flat[1:]).transpose()
 
 
 def nu_basis(form: QuadraticForm) -> list[RationalMatrix]:
@@ -111,17 +109,14 @@ class CoefficientModule:
         return red.submatrix(range(d), range(d, 2 * d))
 
     def to_coordinates(self, m: RationalMatrix) -> tuple[Fraction, ...]:
-        coords = in_column_space(self._columns, _vec(m))
+        coords = in_column_space(self._columns, m.reshape(1, m.rows * m.cols).row(0))
         if coords is None:
             raise ValueError("matrix is not in the module subspace")
         return coords
 
     def from_coordinates(self, coords) -> RationalMatrix:
-        out = RationalMatrix.zeros(self.rep.size, self.rep.size)
-        for c, b in zip(coords, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+        n = self.rep.size
+        return (self._columns * RationalMatrix.column(coords)).reshape(n, n)
 
     def action(self, e) -> RationalMatrix:
         """Action matrix of a Word; linear extension over GroupRingElems."""

@@ -227,9 +227,9 @@ def test_deterministic_output(capsys):
     assert json.dumps(doc1) == json.dumps(doc2)
 
 
-def run_child(*argv):
+def run_child(*argv, timeout=60):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    return subprocess.run([sys.executable, "-m", "bendlab.cli", *argv], timeout=60,
+    return subprocess.run([sys.executable, "-m", "bendlab.cli", *argv], timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True)
 
@@ -278,6 +278,22 @@ def test_branched_system_non_finite_or_deep_json_is_input_error(tmp_path, text, 
     done = run_child("branched-system", str(path), "--geometry", "so")
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and error in done.stderr, done.stderr
+
+
+@pytest.mark.parametrize("entry", ["1e10000000", "1E-10000000", "-3.5e+99999"])
+def test_huge_exponent_entries_exit_two_without_expanding(tmp_path, entry):
+    # Fraction alone spends about 15 s expanding "1e10000000", so the timeout is short
+    rep = _read_json("borromean_representation.json")
+    rep["images"]["x"][0][0] = entry
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    done = run_child("validate", "--rep", str(path), timeout=10)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: bad representation file"), done.stderr
+    path.write_text(json.dumps(complex_with_angle({"cos": entry, "sin": "0"})))
+    done = run_child("branched-system", str(path), "--geometry", "so", timeout=10)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: bad complex file"), done.stderr
 
 
 @pytest.mark.parametrize("pants", [

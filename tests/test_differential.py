@@ -11,6 +11,11 @@ Z^1 basis and ranked, and, per group, one auxiliary vector per group solved
 for jointly with c. The cuspidal test is compared with solving
 (I - mu; I - lambda) alpha = (c(mu); c(lambda)) directly, with the values
 from the cocycle walk.
+
+The float backend is compared with the exact one: on seeded complexes at
+Pythagorean angles, the tolerance-based rank of the float twin (the same
+complex with each exact (cos, sin) pair written as floats) must equal the
+exact rank, for both closure geometries.
 """
 
 import random
@@ -19,8 +24,9 @@ from fractions import Fraction
 import pytest
 
 from bendlab.cohomology import CocycleSpace, cocycle_eval, default_parabolic_words
-from bendlab.linalg import (RationalMatrix, in_column_space, nullspace, rank_of_vectors,
-                            rref_rank)
+from bendlab.complexes import Angle, BendingComplex, Binding, Incidence, build_system
+from bendlab.linalg import (FloatMatrix, RationalMatrix, in_column_space, nullspace,
+                            rank_of_vectors, rref_rank)
 from bendlab.modules import CoefficientModule
 from bendlab.words import Word, fox_derivative
 
@@ -165,3 +171,51 @@ def test_cuspidal_defect_matches_the_walked_solve(kind, conjugated, spaces, rho,
         outcomes.extend(got)
     assert all(all(space.cuspidal_defect(b)) for b in space.b1_basis)
     assert True in outcomes and False in outcomes
+
+
+def pythagorean_angle(rng, height):
+    """An exact angle a/c, b/c from Euclid's formula with m <= height."""
+    m = rng.randint(2, height)
+    n = rng.randint(1, m - 1)
+    a, b, c = m * m - n * n, 2 * m * n, m * m + n * n
+    if rng.random() < 0.5:
+        a, b = b, a
+    return Angle.exact_pair(Fraction(rng.choice((1, -1)) * a, c),
+                            Fraction(rng.choice((1, -1)) * b, c))
+
+
+def seeded_complex_and_float_twin(rng, nwalls, height):
+    """A complex at Pythagorean angles (with some named angles and repeated
+    bindings, so that ranks fall short of the row count) and its float twin."""
+    walls = tuple(f"w{k}" for k in range(nwalls))
+    bindings = []
+    for b in range(max(1, nwalls * 3 // 10)):
+        if bindings and rng.random() < 0.25:
+            bindings.append(Binding(f"b{b}", bindings[-1].incidences))
+            continue
+        chosen = rng.sample(walls, rng.randint(2, min(8, nwalls)))
+        incs = [Incidence(chosen[0], Angle.named("0"))]
+        for wall in chosen[1:]:
+            angle = (Angle.named(rng.choice(("pi/2", "pi", "3pi/2"))) if rng.random() < 0.15
+                     else pythagorean_angle(rng, height))
+            incs.append(Incidence(wall, angle, rng.choice((1, -1))))
+        bindings.append(Binding(f"b{b}", tuple(incs)))
+    twin = [Binding(b.name, tuple(Incidence(i.wall, Angle.float_pair(float(i.angle.cos),
+                                                                       float(i.angle.sin)),
+                                            i.sign) for i in b.incidences))
+            for b in bindings]
+    return BendingComplex(3, walls, tuple(bindings)), BendingComplex(3, walls, tuple(twin))
+
+
+@pytest.mark.parametrize("geometry", ["so", "sl"])
+def test_float_rank_matches_exact_rank_at_pythagorean_angles(geometry):
+    rng = random.Random(515)
+    deficient = 0
+    for k in range(200):
+        cx, twin = seeded_complex_and_float_twin(rng, rng.randint(3, 30), (4, 16, 64)[k % 3])
+        exact, approx = build_system(cx, geometry), build_system(twin, geometry)
+        assert isinstance(exact, RationalMatrix) and isinstance(approx, FloatMatrix)
+        rank = rref_rank(exact)[1]
+        assert approx.rank() == rank, (k, geometry)
+        deficient += rank < min(exact.rows, exact.cols)
+    assert deficient >= 10  # the comparison also covers rank-deficient systems

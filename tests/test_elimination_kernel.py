@@ -1,21 +1,26 @@
-"""The integer elimination kernel against a Fraction reference.
+"""The integer matrix layer against a Fraction reference.
 
-``linalg`` eliminates on Python ints and divides with ``//``, which is only
-right while every division is exact. The reference below is plain
-Gauss-Jordan on ``Fraction`` entries (the algorithm ``linalg`` used before
-the integer kernel), with the same first-nonzero pivot rule; since the RREF is
-unique, every result must agree exactly, including on rank-deficient, empty,
-zero-row, zero-column, negative-pivot and 60+-bit inputs.
+``linalg`` stores int numerators over one common denominator, eliminates on
+Python ints and divides with ``//``, which is only right while every division
+is exact. The reference below is plain Gauss-Jordan on ``Fraction`` entries
+(the algorithm ``linalg`` used before the integer kernel), with the same
+first-nonzero pivot rule, plus plain ``Fraction`` loops for products, sums,
+scaling, stacking, slicing, traces and powers; since the RREF is unique, every
+result must agree exactly, including on rank-deficient, empty, zero-row,
+zero-column, negative-pivot and 60+-bit inputs. Every result must also be in
+the canonical form (denominator positive and coprime to the numerators, 1 for
+zero), which is what makes ``==`` and ``hash`` exact.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bendlab.linalg import RationalMatrix, in_column_space, nullspace, rref_rank
+from bendlab.linalg import RationalMatrix, _eliminate, in_column_space, nullspace, rref_rank
 
 
 def ref_rref(rows):
@@ -89,6 +94,63 @@ def ref_inverse(rows):
     return [r[n:] for r in red[:n]]
 
 
+def ref_mul(a, b, n):
+    """Plain Fraction product of the row lists a (m x k) and b (k x n)."""
+    return [[sum((x * y[j] for x, y in zip(r, b)), Fraction(0)) for j in range(n)]
+            for r in a]
+
+
+def as_matrix(rows, cols):
+    return RationalMatrix(len(rows), cols, [x for r in rows for x in r])
+
+
+def assert_canonical(m):
+    assert m._d > 0 and gcd(m._d, *m._n) == 1
+    assert m._d == 1 or any(m._n)
+    assert len(m._n) == m.rows * m.cols
+
+
+def check_arithmetic(rows, cols):
+    """Every integer-backed operation equals its plain Fraction loop."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    nr = len(rows)
+    other = [[x - Fraction(j + 1, i + 2) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    right = [[3 * rows[i][j] + Fraction(i - j, 5) for i in range(nr)] for j in range(cols)]
+    a, o, t = as_matrix(rows, cols), as_matrix(other, cols), as_matrix(right, nr)
+    square = ref_mul(rows, right, nr)
+    results = {
+        "+": (a + o, [[x + y for x, y in zip(r, s)] for r, s in zip(rows, other)]),
+        "-": (a - o, [[x - y for x, y in zip(r, s)] for r, s in zip(rows, other)]),
+        "neg": (-a, [[-x for x in r] for r in rows]),
+        "scale": (a.scale(Fraction(-7, 3)), [[Fraction(-7, 3) * x for x in r] for r in rows]),
+        "scale0": (a.scale(0), [[Fraction(0)] * cols for _ in rows]),
+        "transpose": (a.transpose(), [[rows[i][j] for i in range(nr)] for j in range(cols)]),
+        "a*t": (a * t, square),
+        "t*a": (t * a, ref_mul(right, rows, cols)),
+        "hstack": (a.hstack(o, a), [r + s + r for r, s in zip(rows, other)]),
+        "vstack": (a.vstack(o, a), rows + other + rows),
+        "submatrix": (a.submatrix(range(1, nr), range(0, cols, 2)),
+                      [r[0::2] for r in rows[1:]]),
+    }
+    for name, (got, want) in results.items():
+        assert got.to_rows() == want, name
+        assert_canonical(got)
+    x = [Fraction(j * j - 2, j + 3) for j in range(cols)]
+    assert a.matvec(x) == tuple(sum((v * w for v, w in zip(r, x)), Fraction(0)) for r in rows)
+    at = a * t
+    assert at.trace() == sum((square[i][i] for i in range(nr)), Fraction(0))
+    assert at.power(0) == RationalMatrix.identity(nr)
+    assert at.power(3).to_rows() == ref_mul(ref_mul(square, square, nr), square, nr)
+    assert at.det() == ref_det(square)
+    # canonical form: equal values have equal fields, so == and hash agree
+    assert a - a == RationalMatrix.zeros(nr, cols) and (a - a)._d == 1
+    assert a.scale(2).scale(Fraction(1, 2)) == a
+    assert hash(a.transpose().transpose()) == hash(a)
+    if nr:
+        left, right_t = (a * t) * a, a * (t * a)
+        assert left == right_t and hash(left) == hash(right_t)
+
+
 def check_against_reference(rows, cols):
     """Every exact entry point of ``linalg`` equals the Fraction reference."""
     rows = [[Fraction(x) for x in r] for r in rows]
@@ -133,7 +195,9 @@ def test_seeded_matrices_match_reference():
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         if rng.random() < 0.3:
             nc = nr
-        check_against_reference(random_rows(rng, nr, nc, density=rng.random()), nc)
+        rows = random_rows(rng, nr, nc, density=rng.random())
+        check_against_reference(rows, nc)
+        check_arithmetic(rows, nc)
 
 
 def test_wide_entries_match_reference():
@@ -144,6 +208,7 @@ def test_wide_entries_match_reference():
         rows = random_rows(rng, n, nc, bits=rng.randint(60, 130),
                            dens=(1, 3, (1 << 61) - 1, 10**19 + 7))
         check_against_reference(rows, nc)
+        check_arithmetic(rows, nc)
 
 
 @pytest.mark.parametrize("rows,cols", [
@@ -162,6 +227,7 @@ def test_wide_entries_match_reference():
 ])
 def test_edge_cases_match_reference(rows, cols):
     check_against_reference(rows, cols)
+    check_arithmetic(rows, cols)
 
 
 def test_det_of_empty_and_scaled_matrices():
@@ -181,3 +247,42 @@ def test_hypothesis_matrices_match_reference(nr, nc, data):
     flat = data.draw(st.lists(entries, min_size=nr * nc, max_size=nr * nc))
     rows = [flat[i * nc:(i + 1) * nc] for i in range(nr)]
     check_against_reference(rows, nc)
+    check_arithmetic(rows, nc)
+
+
+def mixed_height_rows(rng, n, cols, spread):
+    """Rows whose heights differ by ``spread`` bits or more: small integer rows
+    next to rows over denominators of ``spread`` bits (the closure-system
+    regime, where the common denominator inflates every short row)."""
+    rows = []
+    for i in range(n):
+        if i % 2:
+            den = rng.randrange(1 << spread, 1 << (spread + 8)) | 1
+            rows.append([Fraction(rng.randint(-9, 9), den) for _ in range(cols)])
+        else:
+            rows.append([Fraction(rng.randint(-9, 9)) for _ in range(cols)])
+    return rows
+
+
+def test_mixed_height_det_and_rref_match_reference():
+    rng = random.Random(100)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        rows = mixed_height_rows(rng, n, n, rng.randint(100, 160))
+        check_against_reference(rows, n)
+        check_arithmetic(rows, n)
+        wide = mixed_height_rows(rng, n, n + 3, 120)
+        check_against_reference(wide, n + 3)
+
+
+def test_rows_are_made_primitive_before_elimination():
+    # over the shared 2^120-ish denominator every small row would carry 120
+    # extra bits into each Bareiss pivot; divided by its content it carries none
+    rng = random.Random(7)
+    for _ in range(20):
+        rows = mixed_height_rows(rng, 6, 6, 120)
+        m = RationalMatrix.from_rows(rows)
+        assert max(abs(a).bit_length() for a in m._n) > 120
+        elim_rows, _, pivots, last, _, _ = _eliminate(m)
+        widest = max(abs(a).bit_length() for r in elim_rows for a in r)
+        assert widest < 60 and abs(last).bit_length() < 60

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bendlab.linalg import (FloatMatrix, RationalMatrix, in_column_space,
-                            nullspace, rank_of_vectors, rref_rank)
+from bendlab.linalg import (MAX_EXPONENT, FloatMatrix, RationalMatrix, in_column_space,
+                            nullspace, parse_rational, rank_of_vectors, rref_rank)
 
 
 def mat(rows):
@@ -158,3 +158,20 @@ def test_rational_serialization_roundtrip():
     m = mat([[Fraction(-3, 7), 2], [0, Fraction(5)]])
     assert m.to_json() == [["-3/7", "2"], ["0", "5"]]
     assert RationalMatrix.from_json(m.to_json()) == m
+
+
+def test_json_floats_and_small_exponents_still_load():
+    m = RationalMatrix.from_json([[1e-05, 0.5, 2], ["3e2", "-1.5E-3", "7/4"]])
+    assert m.to_rows() == [[Fraction(1, 100000), Fraction(1, 2), 2],
+                           [300, Fraction(-3, 2000), Fraction(7, 4)]]
+    assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert parse_rational(f"2.5e-{MAX_EXPONENT}") == Fraction(5, 2 * 10**MAX_EXPONENT)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1E-10000000", f"1e{MAX_EXPONENT + 1}",
+                                  "-2.5e+1_000_000 ", "1e" + "9" * 5000])
+def test_huge_exponents_are_rejected_before_fraction_expands_them(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    with pytest.raises(ValueError):
+        RationalMatrix.from_json([[text]])
