@@ -30,7 +30,7 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 def parse_rational(x) -> Fraction:
     """``Fraction(x)``, except that text in exponent notation whose exponent
     exceeds ``MAX_EXPONENT`` in size is a ``ValueError``: ``Fraction`` would
-    first expand ``10**exponent`` in full (15 s for ``"1e10000000"``)."""
+    first build ``10**exponent`` in full, seconds of work for ``"1e10000000"``."""
     if isinstance(x, str):
         m = _EXPONENT.search(x)
         if m and abs(int(m[1])) > MAX_EXPONENT:
