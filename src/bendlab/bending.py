@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RationalMatrix, nullspace
-from .modules import CoefficientModule, split_components
+from .modules import (CoefficientModule, _as_columns, adjoint_basis, nu_basis,
+                      split_components)
 from .reps import FirstOrderRep, Representation, first_order_evaluate
 from .words import Presentation, Word, parse_word
 
@@ -79,39 +80,22 @@ def sqrt_fraction(q: Fraction) -> Fraction | None:
     return None
 
 
-def _commutation_rows(m: RationalMatrix, size: int) -> list[list[Fraction]]:
-    """Linear conditions (X m - m X)_{ij} = 0 on the size^2 entries of X."""
-    rows = []
-    for i in range(size):
-        for j in range(size):
-            row = [Fraction(0)] * (size * size)
-            for k in range(size):
-                row[i * size + k] += m[k, j]
-                row[k * size + j] -= m[i, k]
-            rows.append(row)
-    return rows
-
-
 def _centralizer_space(rep: Representation, datum: BendingDatum):
-    """Nullspace basis of the ambient-algebra commutation system."""
-    base = rep if datum.geometry == "sl" else rep.embedded_in_extension()
-    size = base.size
-    rows = []
-    for w in datum.subgroup:
-        rows.extend(_commutation_rows(base.evaluate(w), size))
+    """Basis of the wall subgroup's centralizer in the ambient algebra: the
+    kernel of X -> (X m - m X) over the wall matrices m, with X written in the
+    basis so(Q) + nu of sl(n+1) (sl) or so(Q + 1) (so_ext)."""
     if datum.geometry == "sl":
-        rows.append([Fraction(int(i == j)) for i in range(size) for j in range(size)])
+        base = rep
+        algebra = adjoint_basis(rep.form) + nu_basis(rep.form)
     else:
-        q = base.form.matrix
-        for i in range(size):
-            for j in range(size):
-                row = [Fraction(0)] * (size * size)
-                for k in range(size):
-                    row[k * size + i] += q[k, j]   # (X^T Q)_{ij}
-                    row[k * size + j] += q[i, k]   # (Q X)_{ij}
-                rows.append(row)
-    basis = nullspace(RationalMatrix.from_rows(rows))
-    return [RationalMatrix(size, size, v) for v in basis], size
+        base = rep.embedded_in_extension()
+        algebra = adjoint_basis(base.form)
+    walls = [base.evaluate(w) for w in datum.subgroup]
+    system = RationalMatrix.zeros(0, len(algebra)).vstack(
+        *(_as_columns(x * m - m * x for x in algebra) for m in walls))
+    columns, size = _as_columns(algebra), base.size
+    return [(columns * RationalMatrix.column(c)).reshape(size, size)
+            for c in nullspace(system)], size
 
 
 def centralizer_generator(rep: Representation, datum: BendingDatum) -> BendingGenerator:

@@ -102,8 +102,9 @@ class Incidence:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("incidence sign must be +-1")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"incidence sign must be the integer 1 or -1, "
+                             f"got {self.sign!r}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class Binding:
                 and all(isinstance(i, dict) for i in data["incidences"])):
             raise ValueError('a binding is a JSON object with an "incidences" list of objects')
         incs = tuple(Incidence(i["wall"], Angle.from_json(i["angle"]),
-                               int(i.get("sign", 1)))
+                               i.get("sign", 1))
                      for i in data["incidences"])
         return cls(data["name"], incs)
 
@@ -143,6 +144,8 @@ class BendingComplex:
     bindings: tuple[Binding, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if type(self.dimension) is not int or self.dimension < 2:
+            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension!r}")
         if len(set(self.walls)) != len(self.walls):
             raise ValueError("wall names must be unique")
         known = set(self.walls)
@@ -160,7 +163,7 @@ class BendingComplex:
         if not (isinstance(data, dict) and isinstance(data.get("walls"), list)
                 and isinstance(data.get("bindings", []), list)):
             raise ValueError('a complex is a JSON object with "walls" and "bindings" lists')
-        return cls(int(data["dimension"]), tuple(data["walls"]),
+        return cls(data["dimension"], tuple(data["walls"]),
                    tuple(Binding.from_json(b) for b in data.get("bindings", [])))
 
     def to_json(self) -> dict:

@@ -27,27 +27,28 @@ def _as_columns(matrices) -> RationalMatrix:
     return flat[0].vstack(*flat[1:]).transpose()
 
 
+def _inverse_form_times(form: QuadraticForm, i: int, j: int, sign: int) -> RationalMatrix:
+    """Q^-1 (E_ij + sign E_ji); for i == j, Q^-1 E_ii."""
+    s = [[0] * form.size for _ in range(form.size)]
+    s[j][i] = sign
+    s[i][j] = 1
+    return form.inverse * RationalMatrix.from_rows(s)
+
+
 def nu_basis(form: QuadraticForm) -> list[RationalMatrix]:
     """Exact basis of {V : V^T Q = Q V, tr V = 0}: V = Q^-1 S over the standard
-    symmetric basis, projected to traceless combinations against the last
-    candidate of nonzero trace (the last diagonal one when Q is diagonal)."""
+    symmetric basis (diagonal first), projected to traceless combinations
+    against the last candidate of nonzero trace (the last diagonal one when Q
+    is diagonal)."""
     n1 = form.size
-    qi = form.inverse
-    diag, offd = [], []
-    for i in range(n1):
-        for j in range(i, n1):
-            s = [[Fraction(0)] * n1 for _ in range(n1)]
-            s[i][j] = Fraction(1)
-            if i != j:
-                s[j][i] = Fraction(1)
-            v = qi * RationalMatrix.from_rows(s)
-            (diag if i == j else offd).append(v)
-    candidates = diag + offd
+    candidates = ([_inverse_form_times(form, i, i, 1) for i in range(n1)]
+                  + [_inverse_form_times(form, i, j, 1)
+                     for i in range(n1) for j in range(i + 1, n1)])
     traced = [(k, v.trace()) for k, v in enumerate(candidates) if v.trace() != 0]
     if not traced:
         raise ValueError("degenerate form: no trace completion available")
     # prefer a diagonal completion element when one exists
-    diag_traced = [(k, t) for k, t in traced if k < len(diag)]
+    diag_traced = [(k, t) for k, t in traced if k < n1]
     last, tl = (diag_traced or traced)[-1]
     completion = candidates[last]
     basis = []
@@ -63,15 +64,8 @@ def adjoint_basis(form: QuadraticForm) -> list[RationalMatrix]:
     """Exact basis of so(Q) = {V : V^T Q + Q V = 0}: V = Q^-1 A over the
     standard antisymmetric basis."""
     n1 = form.size
-    qi = form.inverse
-    basis = []
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            a = [[Fraction(0)] * n1 for _ in range(n1)]
-            a[i][j] = Fraction(1)
-            a[j][i] = Fraction(-1)
-            basis.append(qi * RationalMatrix.from_rows(a))
-    return basis
+    return [_inverse_form_times(form, i, j, -1)
+            for i in range(n1) for j in range(i + 1, n1)]
 
 
 class CoefficientModule:

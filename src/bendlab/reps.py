@@ -24,6 +24,8 @@ class QuadraticForm:
     def __init__(self, matrix: RationalMatrix):
         if not matrix.is_square():
             raise ValueError("form matrix must be square")
+        if matrix.rows < 2:
+            raise ValueError("form matrix must be at least 2x2")
         if matrix != matrix.transpose():
             raise ValueError("form matrix must be symmetric")
         self.matrix = matrix
@@ -52,9 +54,14 @@ class QuadraticForm:
         return self.matrix.to_json()
 
 
+CACHE_ENTRIES = 256
+
+
 class WordEvaluator:
     """Multiplies out words from the letter matrices ``letters[g, +-1]``;
-    words of at most 12 letters are cached, GroupRingElems act linearly."""
+    GroupRingElems act linearly. Words of at most 12 letters are cached, and
+    the cache is emptied once it holds ``CACHE_ENTRIES`` words, so a long
+    stream of distinct words keeps memory flat."""
 
     def __init__(self, images: dict[str, RationalMatrix], size: int):
         self.size = size
@@ -76,6 +83,8 @@ class WordEvaluator:
             for letter in e.letters:
                 out = out * self.letters[letter]
             if len(e.letters) <= 12:
+                if len(self._cache) >= CACHE_ENTRIES:
+                    self._cache.clear()
                 self._cache[e.letters] = out
         return out
 

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from bendlab.acceptance import _conjugator_pool
 from bendlab.bending import (BendingDatum, CentralizerError, centralizer_generator,
                              char_poly, hnn_first_order,
                              match_up_to_column_signs_and_scale, tangent_cocycle,
                              trace_derivative_matrix)
 from bendlab.cohomology import class_span_dim, is_cuspidal
+from bendlab.fixtures import load_pants
 from bendlab.linalg import RationalMatrix, rref_rank
-from bendlab.reps import first_order_evaluate
+from bendlab.reps import _with_unit, first_order_evaluate
 from bendlab.words import Word
 
 
@@ -83,10 +85,35 @@ def test_so_centralizer_golden_value(so_generators):
 
 
 def test_empty_subgroup_overcounts(bundle):
+    # the whole ambient algebra sl(4)
     datum = BendingDatum("none", (), Word.generator("x"), "sl")
     with pytest.raises(CentralizerError) as err:
         centralizer_generator(bundle.representation, datum)
     assert err.value.found_dim == 15
+
+
+def test_empty_subgroup_overcounts_so_ext(bundle):
+    # the whole ambient algebra so(Q + 1), of dimension 10
+    datum = BendingDatum("none", (), Word.generator("x"), "so_ext")
+    with pytest.raises(CentralizerError) as err:
+        centralizer_generator(bundle.representation, datum)
+    assert err.value.found_dim == 10
+
+
+@pytest.mark.parametrize("geometry", ["sl", "so_ext"])
+@pytest.mark.parametrize("trace_variant", [False, True], ids=["pants", "pants_trace"])
+def test_centralizers_follow_conjugation(bundle, geometry, trace_variant):
+    # the conjugators (the Pythagorean boost among them) move the wall
+    # matrices away from the fixture's entry heights
+    rep = bundle.representation
+    walls = load_pants(bundle.presentation, geometry, trace_variant)
+    for u in _conjugator_pool(rep):
+        big = u if geometry == "sl" else _with_unit(u)
+        conj = rep.conjugated(u)
+        for datum in walls:
+            moved = big * centralizer_generator(rep, datum).v * big.inverse()
+            got = centralizer_generator(conj, datum).v
+            assert got == moved if geometry == "sl" else got in (moved, -moved)
 
 
 def test_full_group_has_no_centralizer(bundle, borromean):

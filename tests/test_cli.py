@@ -65,6 +65,8 @@ def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     {"form": [["1"]], "images": 5},
     [["1", "0"], ["0", "1"]],
     {"form": [["1"]], "images": {"x": 5}},
+    {"form": [], "images": {"x": [], "y": [], "z": []}},
+    {"form": [["1"]], "images": {"x": [["1"]], "y": [["1"]], "z": [["1"]]}},
 ])
 def test_validate_malformed_representation_is_input_error(tmp_path, rep):
     path = tmp_path / "rep.json"
@@ -244,6 +246,12 @@ def complex_with_angle(angle):
     return cx
 
 
+def complex_with_sign(sign):
+    cx = fixture_complex()
+    cx["bindings"][0]["incidences"][1]["sign"] = sign
+    return cx
+
+
 @pytest.mark.parametrize("data", [
     [1],
     fixture_complex(bindings=5),
@@ -253,6 +261,10 @@ def complex_with_angle(angle):
     fixture_complex(bindings=[{"name": "A", "incidences": [5]}]),
     complex_with_angle(5),
     complex_with_angle({"cos": "1/0", "sin": "0"}),
+    fixture_complex(dimension=3.9),
+    fixture_complex(dimension=-7),
+    complex_with_sign(1.7),
+    complex_with_sign(True),
 ])
 def test_branched_system_malformed_complex_is_input_error(tmp_path, data):
     path = tmp_path / "complex.json"

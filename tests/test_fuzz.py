@@ -115,7 +115,12 @@ complexes = either(st.fixed_dictionaries({
 @FUZZ
 @given(complexes)
 def test_complex_loader_returns_or_raises_input_error(document):
-    load(cli._load_complex, document)
+    cx = load(cli._load_complex, document)
+    # a loaded complex holds JSON integers only: no truncated float, no bool
+    if cx is not None:
+        assert type(cx.dimension) is int and cx.dimension >= 2
+        assert all(type(i.sign) is int and i.sign in (1, -1)
+                   for b in cx.bindings for i in b.incidences)
 
 
 pants = either(st.lists(either(st.fixed_dictionaries(

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from bendlab.linalg import RationalMatrix
-from bendlab.reps import (FirstOrderRep, QuadraticForm, Representation,
+from bendlab.reps import (CACHE_ENTRIES, FirstOrderRep, QuadraticForm, Representation,
                           first_order_evaluate, is_parabolic,
                           validate_representation)
 from bendlab.words import GroupRingElem, Presentation, Word, parse_word
@@ -178,3 +179,25 @@ def test_quadratic_form_requires_symmetric_invertible():
         QuadraticForm(RationalMatrix.from_rows([[0, 1], [2, 0]]))
     with pytest.raises(ValueError):
         QuadraticForm(RationalMatrix.zeros(2, 2))
+
+    with pytest.raises(ValueError, match="at least 2x2"):
+        QuadraticForm(RationalMatrix.identity(1))
+    with pytest.raises(ValueError, match="at least 2x2"):
+        QuadraticForm(RationalMatrix.zeros(0, 0))
+
+
+def test_word_cache_stays_within_its_bound(rho, borromean):
+    fresh = Representation(borromean, rho.images, rho.form)
+    letters = [(g, e) for g in borromean.generators for e in (1, -1)]
+    # the distinct reduced words of one to four letters
+    words = sorted({Word(p) for k in range(1, 5)
+                    for p in itertools.product(letters, repeat=k)} - {Word()}, key=str)
+    assert len(words) > 3 * CACHE_ENTRIES
+    ident = RationalMatrix.identity(fresh.size)
+    for _ in range(2):
+        for w in words:
+            plain = ident
+            for g, e in w.letters:
+                plain = plain * rho.image(g, e)
+            assert fresh.evaluate(w) == plain
+            assert len(fresh.evaluator._cache) <= CACHE_ENTRIES
