@@ -192,7 +192,7 @@ def trace_matrix(ctx: SuiteContext) -> RationalMatrix:
 def check_trace_matrix(ctx: SuiteContext):
     """Criteria 9-10: rank and entrywise reproduction of the reference."""
     f = trace_matrix(ctx)
-    _, rank, _ = rref_rank(f)
+    rank = f.rank()
     out = [CheckResult("9", "trace-derivative matrix rank", rank == 6, 6, rank)]
     match = match_up_to_column_signs_and_scale(f, ctx.bundle.trace_reference)
     if match is None:
@@ -355,8 +355,7 @@ def suite_rank_nullity(ctx: SuiteContext, cases: int, seed: int = 103):
         m = RationalMatrix(rows, cols,
                            [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                             for _ in range(rows * cols)])
-        _, rank, _ = rref_rank(m)
-        if rank + len(nullspace(m)) != cols:
+        if m.rank() + len(nullspace(m)) != cols:
             bad += 1
     return CheckResult("13", f"rank-nullity ({cases} cases)", bad == 0, 0, bad)
 

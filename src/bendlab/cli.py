@@ -23,7 +23,7 @@ from .bending import (BendingDatum, CentralizerError, centralizer_generator,
 from .cohomology import (CocycleSpace, class_span_dim, h1_report,
                          peripheral_invariant_dims)
 from .complexes import BendingComplex, bending_dimension
-from .linalg import DEFAULT_FLOAT_TOLERANCE, rref_rank
+from .linalg import DEFAULT_FLOAT_TOLERANCE
 from .modules import CoefficientModule
 from .reps import Representation, validate_representation
 from .words import Presentation, parse_word
@@ -139,7 +139,7 @@ def cmd_cohomology(args) -> int:
         "h1_equals_z1_minus_b1": report.dim_h1 == report.dim_z1 - report.dim_b1,
         "b1_equals_d_minus_h0": report.dim_b1 == module.dimension - report.dim_h0,
         "rank_nullity": space.jacobian.cols ==
-            rref_rank(space.jacobian)[1] + len(space.z1_basis),
+            space.jacobian.rank() + len(space.z1_basis),
         "b1_inside_z1": all(space.is_cocycle(b) for b in space.b1_basis),
     }
     if report.dim_ph1 is not None:
@@ -208,7 +208,7 @@ def cmd_bend(args) -> int:
     if geometry == "sl" and words:
         f = trace_derivative_matrix(rep, data, words)
         doc["trace_derivative_matrix"] = f.to_json()
-        doc["trace_matrix_rank"] = rref_rank(f)[1]
+        doc["trace_matrix_rank"] = f.rank()
     _emit(doc, args.output)
     return EXIT_OK if cocycles else EXIT_CHECK_FAILED
 

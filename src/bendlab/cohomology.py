@@ -95,7 +95,7 @@ class CocycleSpace:
         Jacobian stacked over every group's coboundary conditions."""
         stacked = self.jacobian.vstack(
             *(self._coboundary_conditions(group) for group in word_groups))
-        return stacked.cols - rref_rank(stacked)[1]
+        return stacked.cols - stacked.rank()
 
     def cuspidal_defect(self, c) -> list[bool]:
         """Per cusp: True when the restricted class is trivial there, i.e. one

@@ -9,7 +9,11 @@ Each binding contributes rows over the wall-weight variables:
   per-incidence coefficients s*(a + b cos 2theta), s*(a - b cos 2theta),
   s*(b sin 2theta), where a = (1-n)/2 and b = (1+n)/2.
 
-Repeated incidences of one wall sum into that wall's column.
+Repeated incidences of one wall sum into that wall's column. Exact systems
+are built on ints: each incidence over its angle's denominator q (cos = x/q,
+sin = y/q), each binding over the lcm of its incidences' denominators, and
+every row over the lcm of the bindings'. The float backend uses the same
+per-incidence coefficients with q = 1.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (DEFAULT_FLOAT_TOLERANCE, FloatMatrix, RationalMatrix, parse_rational,
-                     rref_rank)
+from .linalg import DEFAULT_FLOAT_TOLERANCE, FloatMatrix, RationalMatrix, parse_rational
 
 NAMED_ANGLES = {
     "0": (Fraction(1), Fraction(0)),
@@ -75,6 +78,9 @@ class Angle:
         c, s = data["cos"], data["sin"]
         if isinstance(c, str) and isinstance(s, str):
             return cls.exact_pair(c, s)
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (c, s)):
+            raise ValueError(f'an angle\'s "cos" and "sin" are two strings or two numbers, '
+                             f"got {c!r} and {s!r}")
         return cls.float_pair(float(c), float(s))
 
     def to_json(self):
@@ -174,56 +180,63 @@ class BendingComplex:
 GEOMETRIES = ("so", "sl")
 
 
+def _incidence_coefficients(geometry: str, n: int, inc: Incidence, exact: bool):
+    """One incidence's coefficients in its binding's rows, as numerators over
+    one denominator. With cos = x/q and sin = y/q (ints when ``exact``, else
+    floats over q = 1): so rows x, y over q; sl rows
+    s((1-n)q^2 + (1+n)(x^2-y^2)), s((1-n)q^2 - (1+n)(x^2-y^2)) and 2s(1+n)xy
+    over 2q^2, which are s(a + b cos 2theta), s(a - b cos 2theta) and
+    s(b sin 2theta) for a = (1-n)/2 and b = (1+n)/2."""
+    c, s = inc.angle.cos, inc.angle.sin
+    if exact:
+        q = math.lcm(c.denominator, s.denominator)
+        x, y = c.numerator * (q // c.denominator), s.numerator * (q // s.denominator)
+    else:
+        x, y, q = float(c), float(s), 1.0
+    if geometry == "so":
+        return (x, y), q
+    sign, c2, qq = inc.sign, x * x - y * y, q * q
+    return ((sign * ((1 - n) * qq + (1 + n) * c2), sign * ((1 - n) * qq - (1 + n) * c2),
+             sign * 2 * (1 + n) * (x * y)), 2 * qq)
+
+
 def build_system(complex_: BendingComplex, geometry: str,
                  rank_tolerance: float = DEFAULT_FLOAT_TOLERANCE):
     """The stacked per-binding closure system over wall weights.
 
     Returns a RationalMatrix when every angle is exact, otherwise a
-    FloatMatrix (with a warning if exact and float angles are mixed).
+    FloatMatrix (with a warning if exact and float angles are mixed). The
+    exact rows are built on ints: each binding's rows over the lcm of its
+    incidences' denominators, then every row over the lcm of those.
     """
     if geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}")
     exact = complex_.is_exact()
-    any_exact = any(inc.angle.exact for b in complex_.bindings
-                    for inc in b.incidences)
-    any_float = any(not inc.angle.exact for b in complex_.bindings
-                    for inc in b.incidences)
-    if any_exact and any_float:
+    if not exact and any(inc.angle.exact for b in complex_.bindings
+                         for inc in b.incidences):
         warnings.warn("mixed exact and float angles; falling back to the "
                       "float backend", stacklevel=2)
     idx = {w: k for k, w in enumerate(complex_.walls)}
-    nw = len(complex_.walls)
-    zero = Fraction(0) if exact else 0.0
-    rows = []
-    if geometry == "so":
-        for b in complex_.bindings:
-            r1, r2 = [zero] * nw, [zero] * nw
-            for inc in b.incidences:
-                j = idx[inc.wall]
-                r1[j] += inc.angle.cos
-                r2[j] += inc.angle.sin
-            rows.extend([r1, r2])
-    else:
-        n = complex_.dimension
-        a = Fraction(1 - n, 2) if exact else (1 - n) / 2
-        bcoef = Fraction(1 + n, 2) if exact else (1 + n) / 2
-        for b in complex_.bindings:
-            r1, r2, r3 = [zero] * nw, [zero] * nw, [zero] * nw
-            for inc in b.incidences:
-                j = idx[inc.wall]
-                c2, s2 = inc.angle.double()
-                r1[j] += inc.sign * (a + bcoef * c2)
-                r2[j] += inc.sign * (a - bcoef * c2)
-                r3[j] += inc.sign * (bcoef * s2)
-            rows.extend([r1, r2, r3])
-    if exact:
-        if not rows:
-            return RationalMatrix.zeros(0, nw)
-        return RationalMatrix.from_rows(rows)
-    if not rows:
-        return FloatMatrix(0, nw, [], rank_tolerance)
-    return FloatMatrix.from_rows([[float(x) for x in r] for r in rows],
-                                 rank_tolerance)
+    nw, height = len(complex_.walls), 2 if geometry == "so" else 3
+    blocks = []  # per binding: its rows and their denominator (1 for floats)
+    for b in complex_.bindings:
+        terms = [(idx[inc.wall], *_incidence_coefficients(geometry, complex_.dimension,
+                                                          inc, exact))
+                 for inc in b.incidences]
+        den = math.lcm(*(q for _, _, q in terms)) if exact else 1
+        block = [[0] * nw for _ in range(height)]
+        for j, nums, q in terms:
+            for row, a in zip(block, nums):
+                row[j] += a * (den // q) if exact else a / q
+        blocks.append((block, den))
+    if not exact:
+        return FloatMatrix(len(blocks) * height, nw,
+                           [x for block, _ in blocks for row in block for x in row],
+                           rank_tolerance)
+    d = math.lcm(*(den for _, den in blocks))
+    return RationalMatrix.from_numerators(
+        len(blocks) * height, nw,
+        [a * (d // den) for block, den in blocks for row in block for a in row], d)
 
 
 @dataclass
@@ -249,7 +262,7 @@ def bending_dimension(complex_: BendingComplex, geometry: str,
     naive = len(complex_.walls) - a * len(complex_.bindings)
     ones = [1] * len(complex_.walls)
     if isinstance(system, RationalMatrix):
-        nullity = system.cols - rref_rank(system)[1]
+        nullity = system.cols - system.rank()
         equal = all(v == 0 for v in system.matvec(ones))
         return BendingReport(nullity, naive, equal, True)
     return BendingReport(system.nullity(), naive, system.kills_vector(ones), False)

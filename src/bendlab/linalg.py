@@ -7,9 +7,13 @@ stacking and slicing run on the ints and reduce once. All exact elimination
 (rank, RREF, nullspace, solve, inverse, det) runs in one fraction-free kernel,
 :func:`_eliminate`, which first divides each row by its content (the gcd of its
 numerators): over the shared denominator, rows of very different heights made
-Bareiss 9x slower on high-height closure systems. ``Fraction`` appears only at
-the boundary: the constructor, entries, rows, JSON, ``trace``, ``det`` and the
-vectors returned by ``matvec``, ``nullspace`` and ``in_column_space``.
+Bareiss 9x slower on high-height closure systems. Its Gauss-Jordan pass runs
+only where a reduced form is read (``rref_rank``, ``nullspace``,
+``in_column_space``, ``inverse``); ``rank``, ``rank_of_vectors`` and ``det``
+run its echelon-only pass, which never reduces above the pivot. ``Fraction``
+appears only at the boundary: the constructor, entries, rows, JSON, ``trace``,
+``det`` and the vectors returned by ``matvec``, ``nullspace`` and
+``in_column_space``.
 A small float backend exists only for systems whose coefficients are not
 rational (bending complexes with non-exact angles); its ranks are
 tolerance-based and flagged as approximate by callers.
@@ -70,6 +74,14 @@ class RationalMatrix:
         m = object.__new__(cls)
         m.rows, m.cols, m._n, m._d = rows, cols, tuple(nums), d
         return m
+
+    @classmethod
+    def from_numerators(cls, rows: int, cols: int, nums, d: int = 1) -> "RationalMatrix":
+        """The matrix of the list ``nums`` of int numerators (row-major) over
+        the positive int denominator ``d``."""
+        if len(nums) != rows * cols or d <= 0:
+            raise ValueError(f"need {rows * cols} numerators over a positive denominator")
+        return cls._of(rows, cols, nums, d)
 
     @classmethod
     def from_rows(cls, data) -> "RationalMatrix":
@@ -230,11 +242,15 @@ class RationalMatrix:
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        _, _, pivots, last, sign, contents = _eliminate(self)
+        _, _, pivots, last, sign, contents = _eliminate(self, reduce=False)
         if len(pivots) < self.rows:
             return Fraction(0)
         # the last Bareiss pivot is det of the primitive rows, up to the swaps
         return Fraction(sign * last * prod(contents), self._d ** self.rows)
+
+    def rank(self) -> int:
+        """Exact rank, from an echelon-only pass of :func:`_eliminate`."""
+        return len(_eliminate(self, reduce=False)[2])
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in self.row(i)) + "]"
@@ -252,15 +268,21 @@ class RationalMatrix:
         return cls.from_rows([[parse_rational(str(x)) for x in row] for row in data])
 
 
-def _eliminate(m: RationalMatrix):
-    """Fraction-free Gauss-Jordan on the numerators (Bareiss 1968), pivoting
+def _eliminate(m: RationalMatrix, reduce: bool = True):
+    """Fraction-free elimination on the numerators (Bareiss 1968), pivoting
     on the first nonzero entry in column order, after dividing each row by its
     content so that it is primitive. A pivot ``p`` replaces each row with
     ``f != 0`` in its column by ``(p*a - f*b) // den``: ``den`` is the pivot
     that last updated the row, whose true Bareiss value ``row * prev / den`` is
     an integer minor (Sylvester's identity), so the division is exact. Rows
-    with ``f == 0`` stay stale until they pivot. Returns (rows, dens, pivots,
-    last pivot, swap sign, row contents); the RREF is ``row / den``.
+    with ``f == 0`` stay stale until they pivot.
+
+    The rows from the pivot row down are zero left of the pivot column ``c``.
+    With ``reduce`` (Gauss-Jordan) every other row is cleared in the pivot
+    column; without it (echelon only) just the rows below, and only their
+    entries from column ``c`` on. The pivots, last pivot and swap sign are the
+    same either way. Returns (rows, dens, pivots, last pivot, swap sign, row
+    contents); with ``reduce`` the RREF is ``row / den``.
     """
     nr, nc = m.rows, m.cols
     rows = [m._n[i * nc:(i + 1) * nc] for i in range(nr)]
@@ -279,17 +301,19 @@ def _eliminate(m: RationalMatrix):
             rows[r], rows[piv] = rows[piv], rows[r]
             dens[r], dens[piv] = dens[piv], dens[r]
             sign = -sign
+        prow = rows[r]
         if dens[r] != prev:
             d = dens[r]
-            rows[r] = [a * prev // d for a in rows[r]]
-        prow = rows[r]
+            prow[c:] = [a * prev // d for a in prow[c:]]
         p = prow[c]
-        for i in range(nr):
+        lo = 0 if reduce else c
+        tail = prow[lo:]
+        for i in range(0 if reduce else r + 1, nr):
             row = rows[i]
             f = row[c]
             if f and i != r:
                 d = dens[i]
-                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                row[lo:] = [(p * a - f * b) // d for a, b in zip(row[lo:], tail)]
                 dens[i] = p
         dens[r] = prev = p
         pivots.append(c)
@@ -339,7 +363,7 @@ def in_column_space(a: RationalMatrix, b) -> tuple[Fraction, ...] | None:
 
 def rank_of_vectors(vectors) -> int:
     """Rank of a list of equal-length rational vectors."""
-    return rref_rank(RationalMatrix.from_rows(vectors))[1]
+    return RationalMatrix.from_rows(vectors).rank()
 
 
 class FloatMatrix:

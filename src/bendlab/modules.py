@@ -139,7 +139,7 @@ class CoefficientModule:
 
     def invariants_dim(self, ws) -> int:
         """Dimension of the joint fixed space of the listed words."""
-        return self.dimension - rref_rank(self.coboundary_map(ws))[1]
+        return self.dimension - self.coboundary_map(ws).rank()
 
 
 @dataclass

@@ -265,6 +265,8 @@ def complex_with_sign(sign):
     fixture_complex(dimension=-7),
     complex_with_sign(1.7),
     complex_with_sign(True),
+    complex_with_angle({"cos": True, "sin": False}),
+    complex_with_angle({"cos": "0.6", "sin": 0.8}),
 ])
 def test_branched_system_malformed_complex_is_input_error(tmp_path, data):
     path = tmp_path / "complex.json"

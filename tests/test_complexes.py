@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,3 +163,90 @@ def test_complex_json_roundtrip(bundle):
     again = BendingComplex.from_json(doc)
     assert again == bundle.complex
     assert isinstance(build_system(again, "so"), RationalMatrix)
+
+
+def fraction_system(cx, geometry, exact=True):
+    """The closure rows from the closed formulas, summed entry by entry in
+    ``Fraction`` (or, for ``exact=False``, float) arithmetic: the reference
+    for the integer rows of ``build_system``."""
+    idx = {w: k for k, w in enumerate(cx.walls)}
+    n, nw = cx.dimension, len(cx.walls)
+    zero = Fraction(0) if exact else 0.0
+    a = Fraction(1 - n, 2) if exact else (1 - n) / 2
+    b = Fraction(1 + n, 2) if exact else (1 + n) / 2
+    rows = []
+    for binding in cx.bindings:
+        block = [[zero] * nw for _ in range(2 if geometry == "so" else 3)]
+        for inc in binding.incidences:
+            if geometry == "so":
+                coeffs = (inc.angle.cos, inc.angle.sin)
+            else:
+                c2, s2 = inc.angle.double()
+                coeffs = (inc.sign * (a + b * c2), inc.sign * (a - b * c2),
+                          inc.sign * (b * s2))
+            for row, x in zip(block, coeffs):
+                row[idx[inc.wall]] += x
+        rows.extend(block)
+    return rows
+
+
+def euclid_angle(rng, height):
+    m = rng.randint(2, height)
+    k = rng.randint(1, m - 1)
+    a, b, c = m * m - k * k, 2 * m * k, m * m + k * k
+    if rng.random() < 0.5:
+        a, b = b, a
+    return Angle.exact_pair(Fraction(rng.choice((1, -1)) * a, c),
+                            Fraction(rng.choice((1, -1)) * b, c))
+
+
+def seeded_complex(rng, n, nwalls):
+    """Pythagorean angles of mixed heights (and some named angles), both
+    signs, and walls drawn with replacement, so that one wall can meet a
+    binding more than once."""
+    walls = tuple(f"w{k}" for k in range(nwalls))
+    bindings = []
+    for b in range(rng.randint(1, 6)):
+        incs = [Incidence(rng.choice(walls), Angle.named("0"))]
+        for _ in range(rng.randint(1, 7)):
+            angle = (Angle.named(rng.choice(RIGHT_ANGLES)) if rng.random() < 0.15
+                     else euclid_angle(rng, rng.choice((4, 16, 64, 1000))))
+            incs.append(Incidence(rng.choice(walls), angle, rng.choice((1, -1))))
+        bindings.append(Binding(f"b{b}", tuple(incs)))
+    return BendingComplex(n, walls, tuple(bindings))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_integer_rows_equal_the_fraction_formulas(n):
+    rng = random.Random(800 + n)
+    repeated = 0
+    for _ in range(40):
+        cx = seeded_complex(rng, n, rng.randint(2, 12))
+        repeated += any(len({i.wall for i in b.incidences}) < len(b.incidences)
+                        for b in cx.bindings)
+        for geometry in ("so", "sl"):
+            ref = fraction_system(cx, geometry)
+            system = build_system(cx, geometry)
+            assert system == RationalMatrix(len(ref), len(cx.walls),
+                                            [x for r in ref for x in r])
+            assert system.to_rows() == ref
+            twin = BendingComplex(n, cx.walls, tuple(
+                Binding(b.name, tuple(Incidence(i.wall, Angle.float_pair(
+                    float(i.angle.cos), float(i.angle.sin)), i.sign) for i in b.incidences))
+                for b in cx.bindings))
+            approx = build_system(twin, geometry)
+            flat = [x for r in fraction_system(twin, geometry, exact=False) for x in r]
+            assert (approx.rows, approx.cols) == system.shape
+            assert all(math.isclose(x, y, rel_tol=1e-15, abs_tol=1e-15)
+                       for x, y in zip(approx.entries, flat, strict=True))
+    assert repeated >= 10
+
+
+@pytest.mark.parametrize("geometry", ["so", "sl"])
+def test_integer_rows_of_named_angles_and_no_bindings(geometry):
+    cx = single_binding([Angle.named(n) for n in RIGHT_ANGLES], signs=[1, -1, 1, -1])
+    ref = fraction_system(cx, geometry)
+    assert build_system(cx, geometry).to_rows() == ref
+    for n in range(2, 7):
+        empty = BendingComplex(n, ("w1", "w2"))
+        assert build_system(empty, geometry) == RationalMatrix.zeros(0, 2)

@@ -216,6 +216,6 @@ def test_float_rank_matches_exact_rank_at_pythagorean_angles(geometry):
         exact, approx = build_system(cx, geometry), build_system(twin, geometry)
         assert isinstance(exact, RationalMatrix) and isinstance(approx, FloatMatrix)
         rank = rref_rank(exact)[1]
-        assert approx.rank() == rank, (k, geometry)
+        assert exact.rank() == rank and approx.rank() == rank, (k, geometry)
         deficient += rank < min(exact.rows, exact.cols)
     assert deficient >= 10  # the comparison also covers rank-deficient systems

@@ -9,7 +9,9 @@ scaling, stacking, slicing, traces and powers; since the RREF is unique, every
 result must agree exactly, including on rank-deficient, empty, zero-row,
 zero-column, negative-pivot and 60+-bit inputs. Every result must also be in
 the canonical form (denominator positive and coprime to the numerators, 1 for
-zero), which is what makes ``==`` and ``hash`` exact.
+zero), which is what makes ``==`` and ``hash`` exact. ``rank()`` and ``det``
+run the kernel's echelon-only pass, which never reduces above the pivot; they
+must equal the reference rank and the plain ``Fraction`` determinant loop.
 """
 
 import random
@@ -158,6 +160,9 @@ def check_against_reference(rows, cols):
     red, rank, pivots = rref_rank(m)
     ref_red, ref_pivots = ref_rref(rows)
     assert red.to_rows() == ref_red and pivots == ref_pivots and rank == len(ref_pivots)
+    assert m.rank() == rank
+    # the echelon-only pass finds the same pivots, last pivot and swap sign
+    assert _eliminate(m, reduce=False)[2:5] == _eliminate(m)[2:5]
     assert nullspace(m) == ref_nullspace(rows, cols)
     b = [Fraction(i * i - 3, i + 1) for i in range(len(rows))]
     assert in_column_space(m, b) == ref_solve(rows, cols, b)
@@ -283,6 +288,7 @@ def test_rows_are_made_primitive_before_elimination():
         rows = mixed_height_rows(rng, 6, 6, 120)
         m = RationalMatrix.from_rows(rows)
         assert max(abs(a).bit_length() for a in m._n) > 120
-        elim_rows, _, pivots, last, _, _ = _eliminate(m)
-        widest = max(abs(a).bit_length() for r in elim_rows for a in r)
-        assert widest < 60 and abs(last).bit_length() < 60
+        for reduce in (True, False):
+            elim_rows, _, pivots, last, _, _ = _eliminate(m, reduce)
+            widest = max(abs(a).bit_length() for r in elim_rows for a in r)
+            assert widest < 60 and abs(last).bit_length() < 60
