@@ -10,7 +10,7 @@ from fractions import Fraction
 from .linalg import RationalMatrix, nullspace
 from .modules import (CoefficientModule, _as_columns, adjoint_basis, nu_basis,
                       split_components)
-from .reps import FirstOrderRep, Representation, first_order_evaluate
+from .reps import FirstOrderRep, QuadraticForm, Representation, first_order_evaluate
 from .words import Presentation, Word, parse_word
 
 GEOMETRIES = ("sl", "so_ext")
@@ -80,39 +80,48 @@ def sqrt_fraction(q: Fraction) -> Fraction | None:
     return None
 
 
-def _centralizer_space(rep: Representation, datum: BendingDatum):
-    """Basis of the wall subgroup's centralizer in the ambient algebra: the
-    kernel of X -> (X m - m X) over the wall matrices m, with X written in the
-    basis so(Q) + nu of sl(n+1) (sl) or so(Q + 1) (so_ext)."""
-    if datum.geometry == "sl":
-        base = rep
-        algebra = adjoint_basis(rep.form) + nu_basis(rep.form)
-    else:
-        base = rep.embedded_in_extension()
-        algebra = adjoint_basis(base.form)
-    walls = [base.evaluate(w) for w in datum.subgroup]
-    system = RationalMatrix.zeros(0, len(algebra)).vstack(
-        *(_as_columns(x * m - m * x for x in algebra) for m in walls))
-    columns, size = _as_columns(algebra), base.size
-    return [(columns * RationalMatrix.column(c)).reshape(size, size)
-            for c in nullspace(system)], size
+def _commutator_map(m: RationalMatrix) -> RationalMatrix:
+    """The map X -> X m - m X on row-major vec(X), as the n^2 x n^2 matrix
+    I (x) m^T - m (x) I, written on the numerators of m."""
+    nums, d = m.to_numerators()
+    n = m.rows
+    out = [0] * (n ** 4)
+    for i in range(n):
+        for j in range(n):
+            row = (i * n + j) * n * n
+            for k in range(n):
+                out[row + i * n + k] += nums[k * n + j]
+                out[row + k * n + j] -= nums[i * n + k]
+    return RationalMatrix.from_numerators(n * n, n * n, out, d)
 
 
-def centralizer_generator(rep: Representation, datum: BendingDatum) -> BendingGenerator:
-    """The normalized generator of the one-dimensional centralizer of the
-    wall subgroup in the ambient algebra.
+def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> BendingGenerator:
+    """The normalized generator of the one-dimensional centralizer of the wall
+    matrices in the ambient algebra of the form Q: sl(n+1) for sl, with Q of
+    size n+1, and so(Q) for so_ext, where Q is the extended form of size n+2.
 
-    sl: eigenvalues (-n, 1 x n), pinned by (v + nI)(v - I) = 0 with trace 0;
-    so_ext: v^3 = -v with v != 0, sign fixed so the first nonzero row-major
-    entry is positive.
+    The centralizer is the kernel of X -> (X m - m X) over the wall matrices
+    m, with X written in the basis so(Q) + nu of sl(n+1) (sl) or so(Q)
+    (so_ext). sl: eigenvalues (-n, 1 x n), pinned by (v + nI)(v - I) = 0 with
+    trace 0; so_ext: v^3 = -v with v != 0, sign fixed so the first nonzero
+    row-major entry is positive.
     """
-    basis, size = _centralizer_space(rep, datum)
-    if len(basis) != 1:
-        raise CentralizerError(len(basis))
-    x0 = basis[0]
+    if geometry not in GEOMETRIES:
+        raise ValueError(f"unknown geometry {geometry!r}")
+    size = form.size
+    if any(m.shape != (size, size) for m in walls):
+        raise ValueError(f"wall matrices must be {size}x{size}")
+    algebra = adjoint_basis(form) + (nu_basis(form) if geometry == "sl" else [])
+    columns = _as_columns(algebra)
+    system = RationalMatrix.zeros(0, len(algebra)).vstack(
+        *(_commutator_map(m) * columns for m in walls))
+    kernel = nullspace(system)
+    if len(kernel) != 1:
+        raise CentralizerError(len(kernel))
+    x0 = (columns * RationalMatrix.column(kernel[0])).reshape(size, size)
     t2 = (x0 * x0).trace()
-    n = rep.ambient_dimension
-    if datum.geometry == "sl":
+    if geometry == "sl":
+        n = size - 1
         if t2 <= 0:
             raise ValueError("degenerate centralizer element (tr v^2 <= 0)")
         c = sqrt_fraction(Fraction(n * n + n) / t2)
@@ -136,6 +145,16 @@ def centralizer_generator(rep: Representation, datum: BendingDatum) -> BendingGe
     if not (v * v * v + v).is_zero():
         raise ValueError("so_ext centralizer element does not satisfy v^3 = -v")
     return BendingGenerator(v, "so_ext")
+
+
+def centralizer_generator(rep: Representation, datum: BendingDatum) -> BendingGenerator:
+    """The normalized generator of the one-dimensional centralizer of the
+    wall subgroup in the ambient algebra: the wall words evaluated in ``rep``
+    (sl) or in its embedding preserving Q + (1) (so_ext), handed to
+    :func:`wall_centralizer`."""
+    base = rep if datum.geometry == "sl" else rep.embedded_in_extension()
+    return wall_centralizer([base.evaluate(w) for w in datum.subgroup], base.form,
+                            datum.geometry)
 
 
 def hnn_first_order(rep: Representation, datum: BendingDatum,
@@ -178,6 +197,9 @@ def tangent_cocycle(fo: FirstOrderRep, module: CoefficientModule) -> tuple[Fract
         raise ValueError(f"no tangent cocycles in module kind {module.kind!r}")
     coords: list[Fraction] = []
     for g in rep.presentation.generators:
+        if fo.derivative[g].is_zero():  # a constant generator: c(g) = 0
+            coords.extend([Fraction(0)] * module.dimension)
+            continue
         c = fo.derivative[g] * fo.base.image(g, -1)
         split = split_components(c, rep.form, ambient)
         if ambient == "sl":

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (RationalMatrix, in_column_space, nullspace, rank_of_vectors,
-                     rref_rank)
+from .linalg import (RationalMatrix, echelon, in_column_space, nullspace,
+                     rank_of_vectors, rref_rank)
 from .modules import CoefficientModule
 from .reps import is_parabolic
 from .words import Presentation, Word
@@ -83,11 +83,18 @@ class CocycleSpace:
     def _coboundary_conditions(self, group) -> RationalMatrix:
         """Rows over c that all vanish exactly when one alpha gives
         c(w) = (I - w).alpha for every w in the group: the system is solvable
-        when its right-hand side is killed by the left kernel of its matrix."""
-        left = nullspace(self.module.coboundary_map(group).transpose())
-        rows = RationalMatrix.zeros(0, self.g * self.d).vstack(
-            *(self.word_row(w) for w in group))
-        return RationalMatrix(len(left), rows.rows, [x for v in left for x in v]) * rows
+        when its right-hand side is killed by the left kernel of its matrix.
+
+        One echelon-only pass over [I - w | word_row(w)]_w: the rows whose
+        pivot lies past the first d columns are zero there, so they combine
+        the rows by left-kernel vectors, and together they span the left
+        kernel; their word-row parts are the conditions."""
+        d = self.d
+        system = self.module.coboundary_map(group).hstack(
+            RationalMatrix.zeros(0, self.g * d).vstack(*(self.word_row(w) for w in group)))
+        rows, pivots = echelon(system)
+        first = next((k for k, p in enumerate(pivots) if p >= d), len(pivots))
+        return rows.submatrix(range(first, len(pivots)), range(d, system.cols))
 
     def parabolic_kernel_dim(self, word_groups) -> int:
         """Dimension of {c in Z^1 : for each group there is one alpha with

@@ -263,6 +263,6 @@ def bending_dimension(complex_: BendingComplex, geometry: str,
     ones = [1] * len(complex_.walls)
     if isinstance(system, RationalMatrix):
         nullity = system.cols - system.rank()
-        equal = all(v == 0 for v in system.matvec(ones))
+        equal = (system * RationalMatrix.column(ones)).is_zero()
         return BendingReport(nullity, naive, equal, True)
     return BendingReport(system.nullity(), naive, system.kills_vector(ones), False)

@@ -9,11 +9,12 @@ stacking and slicing run on the ints and reduce once. All exact elimination
 numerators): over the shared denominator, rows of very different heights made
 Bareiss 9x slower on high-height closure systems. Its Gauss-Jordan pass runs
 only where a reduced form is read (``rref_rank``, ``nullspace``,
-``in_column_space``, ``inverse``); ``rank``, ``rank_of_vectors`` and ``det``
-run its echelon-only pass, which never reduces above the pivot. ``Fraction``
-appears only at the boundary: the constructor, entries, rows, JSON, ``trace``,
-``det`` and the vectors returned by ``matvec``, ``nullspace`` and
-``in_column_space``.
+``in_column_space``, ``inverse``); ``rank``, ``rank_of_vectors``, ``det`` and
+``echelon`` run its echelon-only pass, which never reduces above the pivot.
+``Fraction`` appears only at the boundary: the constructor, entries, rows,
+JSON, ``trace``, ``det`` and the vectors returned by ``matvec``, ``nullspace``
+and ``in_column_space``; callers that work on ints read the numerators with
+``to_numerators`` and build with ``from_numerators``.
 A small float backend exists only for systems whose coefficients are not
 rational (bending complexes with non-exact angles); its ranks are
 tolerance-based and flagged as approximate by callers.
@@ -82,6 +83,11 @@ class RationalMatrix:
         if len(nums) != rows * cols or d <= 0:
             raise ValueError(f"need {rows * cols} numerators over a positive denominator")
         return cls._of(rows, cols, nums, d)
+
+    def to_numerators(self) -> tuple[tuple[int, ...], int]:
+        """The int numerators (row-major) and the positive denominator, in
+        lowest terms: the inverse of :meth:`from_numerators`."""
+        return self._n, self._d
 
     @classmethod
     def from_rows(cls, data) -> "RationalMatrix":
@@ -332,6 +338,16 @@ def rref_rank(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     d = lcm(*dens[:len(pivots)])  # the rows below the rank are zero
     nums = [a * (d // den) for row, den in zip(rows, dens) for a in row]
     return RationalMatrix._of(m.rows, m.cols, nums, d), len(pivots), pivots
+
+
+def echelon(m: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
+    """The nonzero rows of a row echelon form of ``m``, each an integer
+    multiple of a combination of the rows of ``m``, and their pivot columns,
+    from one echelon-only pass of :func:`_eliminate`. The rows span the row
+    space of ``m`` but are not reduced above the pivots nor scaled to 1."""
+    rows, _, pivots, _, _, _ = _eliminate(m, reduce=False)
+    return (RationalMatrix._of(len(pivots), m.cols,
+                               [a for row in rows[:len(pivots)] for a in row]), pivots)
 
 
 def nullspace(m: RationalMatrix) -> list[tuple[Fraction, ...]]:

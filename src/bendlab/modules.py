@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .linalg import RationalMatrix, in_column_space, rref_rank
-from .reps import QuadraticForm, Representation, WordEvaluator
+from .linalg import RationalMatrix, _common, in_column_space, rref_rank
+from .reps import QuadraticForm, Representation, WordEvaluator, _with_unit
 from .words import Word
 
 KINDS = ("standard", "nu", "adjoint")
@@ -28,11 +29,16 @@ def _as_columns(matrices) -> RationalMatrix:
 
 
 def _inverse_form_times(form: QuadraticForm, i: int, j: int, sign: int) -> RationalMatrix:
-    """Q^-1 (E_ij + sign E_ji); for i == j, Q^-1 E_ii."""
-    s = [[0] * form.size for _ in range(form.size)]
-    s[j][i] = sign
-    s[i][j] = 1
-    return form.inverse * RationalMatrix.from_rows(s)
+    """Q^-1 (E_ij + sign E_ji); for i == j, Q^-1 E_ii. Written from the
+    columns of Q^-1 on ints: Q^-1 E_ij has column i of Q^-1 as its column j
+    and zeros elsewhere."""
+    nums, d = form.inverse.to_numerators()
+    n = form.size
+    out = [0] * (n * n)
+    out[j::n] = nums[i::n]
+    if i != j:
+        out[i::n] = [sign * a for a in nums[j::n]]
+    return RationalMatrix.from_numerators(n, n, out, d)
 
 
 def nu_basis(form: QuadraticForm) -> list[RationalMatrix]:
@@ -118,18 +124,29 @@ class CoefficientModule:
 
     def cocycle_value(self, c, w: Word) -> tuple[Fraction, ...]:
         """c(w) for generator values c stacked in presentation order, walking w
-        from the right: c(g v) = c(g) + g.c(v), c(g^-1 v) = g^-1.(c(v) - c(g))."""
+        from the right: c(g v) = c(g) + g.c(v), c(g^-1 v) = g^-1.(c(v) - c(g)).
+
+        The walk runs on int numerators: the generator values over their
+        common denominator q, and v over a running denominator, which starts
+        at q and takes each letter matrix's denominator as a factor, so a
+        generator value enters scaled by the running denominator over q."""
         d = self.dimension
-        at = {g: c[k * d:(k + 1) * d]
+        nums, q = _common(c)
+        at = {g: nums[k * d:(k + 1) * d]
               for k, g in enumerate(self.rep.presentation.generators)}
         letters = self.evaluator.letters
-        v = (Fraction(0),) * d
+        v, den = [0] * d, q
         for g, e in reversed(w.letters):
+            if e == -1:
+                s = den // q
+                v = [a - s * b for a, b in zip(v, at[g])]
+            m, md = letters[g, e].to_numerators()
+            v = [sum(map(mul, m[i * d:(i + 1) * d], v)) for i in range(d)]
+            den *= md
             if e == 1:
-                v = tuple(a + b for a, b in zip(at[g], letters[g, 1].matvec(v)))
-            else:
-                v = letters[g, -1].matvec([a - b for a, b in zip(v, at[g])])
-        return v
+                s = den // q
+                v = [a + s * b for a, b in zip(v, at[g])]
+        return tuple(Fraction(a, den) for a in v)
 
     def coboundary_map(self, words) -> RationalMatrix:
         """The stacked map a -> ((I - w).a)_w over the listed words."""
@@ -166,10 +183,10 @@ def split_components(x: RationalMatrix, form: QuadraticForm, ambient: str) -> Sp
         half = Fraction(1, 2)
         return SplitResult((x - sigma).scale(half), (x + sigma).scale(half))
     if ambient == "so_ext":
-        big = form.extend_by_one()
-        if x.shape != (big.size, big.size):
-            raise ValueError(f"expected {big.size}x{big.size} input")
-        if not (x.transpose() * big.matrix + big.matrix * x).is_zero():
+        big = _with_unit(form.matrix)
+        if x.shape != big.shape:
+            raise ValueError(f"expected {big.rows}x{big.cols} input")
+        if not (x.transpose() * big + big * x).is_zero():
             raise ValueError("input is not in so(Q + 1)")
         n1 = form.size
         so_part = x.submatrix(range(n1), range(n1))

@@ -106,6 +106,7 @@ class Representation:
         self.form = form
         self.ambient_dimension = size - 1
         self.evaluator = WordEvaluator(self.images, size)
+        self._embedded: Representation | None = None
 
     @property
     def size(self) -> int:
@@ -126,9 +127,13 @@ class Representation:
 
     def embedded_in_extension(self) -> "Representation":
         """Block-diagonal embedding with an extra fixed coordinate, preserving
-        the extended form Q + (1)."""
-        images = {g: _with_unit(m) for g, m in self.images.items()}
-        return Representation(self.presentation, images, self.form.extend_by_one())
+        the extended form Q + (1). Built on first use and kept: every so_ext
+        wall of this representation bends the same embedding."""
+        if self._embedded is None:
+            images = {g: _with_unit(m) for g, m in self.images.items()}
+            self._embedded = Representation(self.presentation, images,
+                                            self.form.extend_by_one())
+        return self._embedded
 
     @classmethod
     def from_json(cls, data: dict, presentation: Presentation) -> "Representation":
@@ -211,6 +216,8 @@ class FirstOrderRep:
         size = base.size
         self.base = base
         self.derivative = {}
+        # the nonzero derivatives of the letters: E for g, -M^-1 E M^-1 for g^-1
+        self._letter_derivatives = {}
         for g in base.presentation.generators:
             e = derivative.get(g)
             if e is None:
@@ -218,20 +225,28 @@ class FirstOrderRep:
             elif e.shape != (size, size):
                 raise ValueError(f"derivative of {g} has shape {e.shape}")
             self.derivative[g] = e
+            if not e.is_zero():
+                mi = base.image(g, -1)
+                self._letter_derivatives[g, 1] = e
+                self._letter_derivatives[g, -1] = -(mi * e * mi)
 
 
 def first_order_evaluate(fo: FirstOrderRep, w: Word) -> tuple[RationalMatrix, RationalMatrix]:
     """Order-t expansion of rho_t(w): dual-number product
     (M1, E1)(M2, E2) = (M1 M2, M1 E2 + E1 M2); a generator inverse contributes
-    (M^-1, -M^-1 E M^-1)."""
+    (M^-1, -M^-1 E M^-1). The term M1 E2 is formed only at letters whose
+    derivative is nonzero, and E stays zero, with no products, until the
+    first of them."""
     size = fo.base.size
+    derivatives = fo._letter_derivatives
     m = RationalMatrix.identity(size)
-    e = RationalMatrix.zeros(size, size)
-    for g, exp in w.letters:
-        mg = fo.base.image(g, exp)
-        if exp == 1:
-            eg = fo.derivative[g]
-        else:
-            eg = -(mg * fo.derivative[g] * mg)
-        m, e = m * mg, m * eg + e * mg
-    return m, e
+    e = None
+    for letter in w.letters:
+        mg = fo.base.image(*letter)
+        if e is not None:
+            e = e * mg
+        eg = derivatives.get(letter)
+        if eg is not None:
+            e = m * eg if e is None else e + m * eg
+        m = m * mg
+    return m, RationalMatrix.zeros(size, size) if e is None else e

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from bendlab.acceptance import _conjugator_pool
-from bendlab.bending import (BendingDatum, CentralizerError, centralizer_generator,
-                             char_poly, hnn_first_order,
+from bendlab.bending import (BendingDatum, CentralizerError, _commutator_map,
+                             centralizer_generator, char_poly, hnn_first_order,
                              match_up_to_column_signs_and_scale, tangent_cocycle,
-                             trace_derivative_matrix)
+                             trace_derivative_matrix, wall_centralizer)
 from bendlab.cohomology import class_span_dim, is_cuspidal
 from bendlab.fixtures import load_pants
 from bendlab.linalg import RationalMatrix, rref_rank
@@ -82,6 +82,30 @@ def test_so_centralizer_golden_value(so_generators):
         [0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, -1],
         [0, 0, 0, 0, 1], [1, 0, 1, -1, 0]])
     assert so_generators["P_RB"].v == expect
+
+
+def test_commutator_map_is_the_vectorized_commutator():
+    rng = random.Random(21)
+    for n in (2, 3, 5):
+        for _ in range(10):
+            m, x = (RationalMatrix(n, n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                          for _ in range(n * n)]) for _ in range(2))
+            got = _commutator_map(m) * x.reshape(n * n, 1)
+            assert got == (x * m - m * x).reshape(n * n, 1)
+
+
+@pytest.mark.parametrize("geometry", ["sl", "so_ext"])
+def test_wall_centralizer_takes_matrices_and_a_form(bundle, geometry):
+    rep = bundle.representation
+    base = rep if geometry == "sl" else rep.embedded_in_extension()
+    for datum in bundle.pants:
+        walls = [base.evaluate(w) for w in datum.subgroup]
+        got = wall_centralizer(walls, base.form, geometry)
+        assert got == centralizer_generator(rep, replace(datum, geometry=geometry))
+    with pytest.raises(ValueError, match="wall matrices must be"):
+        wall_centralizer([RationalMatrix.identity(base.size + 1)], base.form, geometry)
+    with pytest.raises(ValueError, match="unknown geometry"):
+        wall_centralizer(walls, base.form, "so")
 
 
 def test_empty_subgroup_overcounts(bundle):

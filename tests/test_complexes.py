@@ -103,6 +103,20 @@ def test_roots_of_unity_equal_weights(k):
     assert report.exact == (k == 4)
 
 
+def test_equal_weights_match_the_row_sums():
+    cases = [single_binding([Angle.named(n) for n in RIGHT_ANGLES])]
+    cases += [single_binding([Angle.exact_pair(Fraction(c), Fraction(s))
+                              for c, s in PYTH[:k]]) for k in range(2, 9)]
+    seen = set()
+    for cx in cases:
+        for geometry in ("so", "sl"):
+            system = build_system(cx, geometry)
+            want = all(v == 0 for v in system.matvec([1] * system.cols))
+            assert bending_dimension(cx, geometry).equal_weights_solve == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("k", range(4, 9))
 def test_pythagorean_nullities(k):
     angles = [Angle.exact_pair(Fraction(c), Fraction(s)) for c, s in PYTH[:k]]

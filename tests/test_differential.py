@@ -52,15 +52,26 @@ def test_word_row_blocks_are_fox_derivative_actions(kind, spaces, borromean):
             assert block == space.module.action(fox_derivative(w, gen)), (w, gen)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_cocycle_walk_matches_word_row(kind, spaces):
-    space = spaces[kind]
+def check_walk_against_word_row(space):
     rng = random.Random(32)
     for w in seeded_words(33, 20, max_len=16):
         c = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
              for _ in range(space.g * space.d)]
         assert cocycle_eval(space, c, w) == space.word_row(w).matvec(c), w
 
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cocycle_walk_matches_word_row(kind, spaces):
+    check_walk_against_word_row(spaces[kind])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cocycle_walk_matches_word_row_on_a_conjugate(kind, rho, borromean):
+    # the conjugate's letter matrices have denominators other than 1, which
+    # the walk carries in its running denominator
+    space = conjugated_space(rho, borromean, kind, 38)
+    assert any(m.to_numerators()[1] != 1 for m in space.module.evaluator.letters.values())
+    check_walk_against_word_row(space)
 
 
 def restricted_parabolic_dim(space, word_groups):

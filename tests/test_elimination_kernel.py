@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bendlab.linalg import RationalMatrix, _eliminate, in_column_space, nullspace, rref_rank
+from bendlab.linalg import (RationalMatrix, _eliminate, echelon, in_column_space, nullspace,
+                            rref_rank)
 
 
 def ref_rref(rows):
@@ -163,6 +164,12 @@ def check_against_reference(rows, cols):
     assert m.rank() == rank
     # the echelon-only pass finds the same pivots, last pivot and swap sign
     assert _eliminate(m, reduce=False)[2:5] == _eliminate(m)[2:5]
+    # its rows: one per pivot, zero left of it, spanning the row space of m
+    ech, ech_pivots = echelon(m)
+    assert ech_pivots == pivots and ech.rows == rank
+    assert all(ech[r, p] and not any(ech.row(r)[:p]) for r, p in enumerate(pivots))
+    assert rref_rank(ech)[0].to_rows() == ref_red[:rank]
+    assert RationalMatrix.from_numerators(m.rows, cols, *m.to_numerators()) == m
     assert nullspace(m) == ref_nullspace(rows, cols)
     b = [Fraction(i * i - 3, i + 1) for i in range(len(rows))]
     assert in_column_space(m, b) == ref_solve(rows, cols, b)

@@ -182,6 +182,44 @@ def test_nu_basis_for_appendix_antidiagonal_form():
     assert rank_of_vectors(flat) == 9
 
 
+def seeded_symmetric_form(seed, n=4):
+    """An invertible symmetric form with nonzero entries off the diagonal."""
+    rng = random.Random(seed)
+    while True:
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        m = RationalMatrix.from_rows([[a[min(i, j)][max(i, j)] for j in range(n)]
+                                      for i in range(n)])
+        if m.det() != 0 and all(m[i, j] for i in range(n) for j in range(n) if i != j):
+            return QuadraticForm(m)
+
+
+@pytest.mark.parametrize("which", ["fixture", "antidiagonal", "seeded"])
+def test_bases_match_the_inverse_form_products(rho, which):
+    from bendlab.modules import _inverse_form_times, adjoint_basis, nu_basis
+    q = {"fixture": lambda: rho.form,
+         "antidiagonal": lambda: QuadraticForm(RationalMatrix.from_rows(
+             [[0, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0]])),
+         "seeded": lambda: seeded_symmetric_form(41)}[which]()
+    n = q.size
+    for i in range(n):
+        for j in range(i, n):
+            for sign in (1, -1):
+                e = [[0] * n for _ in range(n)]
+                e[j][i] = sign
+                e[i][j] = 1
+                want = q.inverse * RationalMatrix.from_rows(e)
+                assert _inverse_form_times(q, i, j, sign) == want, (i, j, sign)
+    nb, ab = nu_basis(q), adjoint_basis(q)
+    assert len(nb) == n * (n + 1) // 2 - 1 and len(ab) == n * (n - 1) // 2
+    for b in nb:
+        assert b.transpose() * q.matrix == q.matrix * b and b.trace() == 0
+    for b in ab:
+        assert (b.transpose() * q.matrix + q.matrix * b).is_zero()
+    flat = [[m[i, j] for i in range(n) for j in range(n)] for m in nb + ab]
+    assert rank_of_vectors(flat) == n * n - 1  # so(Q) + nu spans sl(n)
+
+
 def test_build_module_rejects_unknown_kind(rho):
     with pytest.raises(ValueError):
         CoefficientModule(rho, "spin")

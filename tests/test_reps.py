@@ -161,10 +161,46 @@ def test_first_order_product_rule(rho, borromean):
         assert euw == mu * ew + eu * mw
 
 
+def reference_first_order_evaluate(fo, w):
+    """The dual-number loop with every product formed, at every letter."""
+    size = fo.base.size
+    m = RationalMatrix.identity(size)
+    e = RationalMatrix.zeros(size, size)
+    for g, exp in w.letters:
+        mg = fo.base.image(g, exp)
+        eg = fo.derivative[g] if exp == 1 else -(mg * fo.derivative[g] * mg)
+        m, e = m * mg, m * eg + e * mg
+    return m, e
+
+
+@pytest.mark.parametrize("ambient", ["sl", "so_ext"])
+@pytest.mark.parametrize("conjugated", [False, True], ids=["fixture", "conjugate"])
+def test_first_order_matches_the_full_dual_number_loop(rho, borromean, ambient,
+                                                       conjugated):
+    rep = rho
+    if conjugated:  # a Pythagorean boost: letters with denominator 9
+        rep = rho.conjugated(RationalMatrix.from_rows(
+            [[Fraction(5, 3), Fraction(4, 3), 0, 0], [Fraction(4, 3), Fraction(5, 3), 0, 0],
+             [0, 0, 1, 0], [0, 0, 0, 1]]))
+    base = rep if ambient == "sl" else rep.embedded_in_extension()
+    assert conjugated == any(base.image(g).to_numerators()[1] != 1
+                             for g in borromean.generators)
+    rng = random.Random(14)
+    gens = borromean.generators
+    for derived in ((), ("y",), gens):
+        fo = FirstOrderRep(base, {g: RationalMatrix(
+            base.size, base.size, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                   for _ in range(base.size ** 2)]) for g in derived})
+        for _ in range(25):
+            w = rand_word(rng, gens, 16)
+            assert first_order_evaluate(fo, w) == reference_first_order_evaluate(fo, w), w
+
+
 def test_embedded_extension_preserves_form(rho):
     emb = rho.embedded_in_extension()
     assert emb.size == 5
     assert validate_representation(emb).ok
+    assert rho.embedded_in_extension() is emb  # built once per representation
 
 
 def test_representation_json_roundtrip(rho, borromean):
