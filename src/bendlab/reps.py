@@ -210,7 +210,8 @@ def is_parabolic(m: RationalMatrix) -> bool:
 
 
 class FirstOrderRep:
-    """g -> M_g + t E_g truncated at order t^2."""
+    """g -> M_g + t E_g truncated at order t^2. The derivatives are read once,
+    at construction."""
 
     def __init__(self, base: Representation, derivative: dict[str, RationalMatrix]):
         size = base.size
