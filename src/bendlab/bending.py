@@ -212,17 +212,22 @@ def tangent_cocycle(fo: FirstOrderRep, module: CoefficientModule) -> tuple[Fract
     return tuple(coords)
 
 
+def first_order_trace_matrix(first_orders, words) -> RationalMatrix:
+    """Entry (i, j): the first-order trace change tr E(w_i) of words[i] under
+    the sl first-order representation first_orders[j]."""
+    columns = [[first_order_evaluate(fo, w)[1].trace() for w in words]
+               for fo in first_orders]
+    return RationalMatrix(len(columns), len(words), [x for c in columns for x in c]).transpose()
+
+
 def trace_derivative_matrix(rep: Representation, data, words) -> RationalMatrix:
     """Entry (i, j): the first-order trace change of words[i] under the HNN
     bending for data[j]: tr E(w_i)."""
-    columns = []
-    for datum in data:
-        if datum.geometry != "sl":
-            raise ValueError("trace derivatives are defined for sl geometry")
-        v = centralizer_generator(rep, datum)
-        fo = hnn_first_order(rep, datum, v)
-        columns.append([first_order_evaluate(fo, w)[1].trace() for w in words])
-    return RationalMatrix(len(columns), len(words), [x for c in columns for x in c]).transpose()
+    if any(datum.geometry != "sl" for datum in data):
+        raise ValueError("trace derivatives are defined for sl geometry")
+    return first_order_trace_matrix(
+        [hnn_first_order(rep, datum, centralizer_generator(rep, datum)) for datum in data],
+        words)
 
 
 def match_up_to_column_signs_and_scale(computed: RationalMatrix,

@@ -19,7 +19,7 @@ import sys
 from . import fixtures
 from .acceptance import COEFFICIENT_KINDS, run_fixture_suite
 from .bending import (BendingDatum, CentralizerError, centralizer_generator,
-                      hnn_first_order, tangent_cocycle, trace_derivative_matrix)
+                      first_order_trace_matrix, hnn_first_order, tangent_cocycle)
 from .cohomology import (CocycleSpace, class_span_dim, h1_report,
                          peripheral_invariant_dims)
 from .complexes import BendingComplex, bending_dimension
@@ -184,6 +184,7 @@ def cmd_bend(args) -> int:
     space = CocycleSpace(pres, module)
     entries = []
     cocycles = []
+    bendings = []  # the first-order reps of the walls with a bending, in order
     for datum in data:
         entry = {"name": datum.name}
         try:
@@ -194,6 +195,7 @@ def cmd_bend(args) -> int:
             continue
         entry["v"] = v.v.to_json()
         fo = hnn_first_order(rep, datum, v)
+        bendings.append(fo)
         try:
             c = tangent_cocycle(fo, module)
             entry["cocycle"] = [str(x) for x in c]
@@ -206,7 +208,7 @@ def cmd_bend(args) -> int:
     doc = {"geometry": args.geometry, "coefficients": kind, "pants": entries,
            "class_span": class_span_dim(space, cocycles) if cocycles else 0}
     if geometry == "sl" and words:
-        f = trace_derivative_matrix(rep, data, words)
+        f = first_order_trace_matrix(bendings, words)
         doc["trace_derivative_matrix"] = f.to_json()
         doc["trace_matrix_rank"] = f.rank()
     _emit(doc, args.output)

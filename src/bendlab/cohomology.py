@@ -49,6 +49,7 @@ class CocycleSpace:
         self.dim_b1 = rank
         self.dim_h0 = self.d - rank
         self.dim_h1 = self.dim_z1 - self.dim_b1
+        self._cusp_conditions = None  # per cusp, built on first use
 
     def word_row(self, w: Word) -> RationalMatrix:
         """d x (g*d) matrix evaluating c(w) from generator values: block i is
@@ -107,9 +108,13 @@ class CocycleSpace:
     def cuspidal_defect(self, c) -> list[bool]:
         """Per cusp: True when the restricted class is trivial there, i.e. one
         alpha gives c(w) = (I - w).alpha on both the meridian and the
-        longitude. True therefore means there is no defect at that cusp."""
-        return [not any(self._coboundary_conditions(cusp).matvec(c))
-                for cusp in self.presentation.cusps]
+        longitude. True therefore means there is no defect at that cusp.
+        Each cusp's condition rows depend only on the space, so they are
+        built once, on the first call."""
+        if self._cusp_conditions is None:
+            self._cusp_conditions = [self._coboundary_conditions(cusp)
+                                     for cusp in self.presentation.cusps]
+        return [not any(rows.matvec(c)) for rows in self._cusp_conditions]
 
 
 def cocycle_eval(space: CocycleSpace, c, w: Word) -> tuple[Fraction, ...]:

@@ -6,8 +6,12 @@ Each binding contributes rows over the wall-weight variables:
   binding, coefficients cos(theta) and sin(theta) per incidence, incidence
   signs ignored (orientation data drops out).
 * SL geometry (projective bulging): three rows per binding with signed
-  per-incidence coefficients s*(a + b cos 2theta), s*(a - b cos 2theta),
-  s*(b sin 2theta), where a = (1-n)/2 and b = (1+n)/2.
+  per-incidence coefficients s, s*cos 2theta and s*sin 2theta. The paper's
+  rows s*(a + b cos 2theta), s*(a - b cos 2theta) and s*(b sin 2theta), with
+  a = (1-n)/2 and b = (1+n)/2, are their combinations: a times the first
+  row plus or minus b times the second, and b times the third. For n >= 2
+  both a and b are nonzero, so the two sets span the same row space; the
+  balanced rows do not depend on n, and the first is all +-1.
 
 Repeated incidences of one wall sum into that wall's column. Exact systems
 are built on ints: each incidence over its angle's denominator q (cos = x/q,
@@ -54,7 +58,8 @@ class Angle:
     @classmethod
     def exact_pair(cls, cos, sin) -> "Angle":
         c, s = parse_rational(cos), parse_rational(sin)
-        if c * c + s * s != 1:
+        p, q, u, v = c.numerator, c.denominator, s.numerator, s.denominator
+        if (p * v) ** 2 + (u * q) ** 2 != (q * v) ** 2:  # c^2 + s^2 = 1 on ints
             raise ValueError(f"cos^2 + sin^2 != 1 for ({c}, {s})")
         return cls(c, s, True)
 
@@ -180,13 +185,11 @@ class BendingComplex:
 GEOMETRIES = ("so", "sl")
 
 
-def _incidence_coefficients(geometry: str, n: int, inc: Incidence, exact: bool):
+def _incidence_coefficients(geometry: str, inc: Incidence, exact: bool):
     """One incidence's coefficients in its binding's rows, as numerators over
     one denominator. With cos = x/q and sin = y/q (ints when ``exact``, else
-    floats over q = 1): so rows x, y over q; sl rows
-    s((1-n)q^2 + (1+n)(x^2-y^2)), s((1-n)q^2 - (1+n)(x^2-y^2)) and 2s(1+n)xy
-    over 2q^2, which are s(a + b cos 2theta), s(a - b cos 2theta) and
-    s(b sin 2theta) for a = (1-n)/2 and b = (1+n)/2."""
+    floats over q = 1): so rows x, y over q; sl rows s*q^2, s*(x^2-y^2) and
+    2s*xy over q^2, which are s, s cos 2theta and s sin 2theta."""
     c, s = inc.angle.cos, inc.angle.sin
     if exact:
         q = math.lcm(c.denominator, s.denominator)
@@ -195,9 +198,8 @@ def _incidence_coefficients(geometry: str, n: int, inc: Incidence, exact: bool):
         x, y, q = float(c), float(s), 1.0
     if geometry == "so":
         return (x, y), q
-    sign, c2, qq = inc.sign, x * x - y * y, q * q
-    return ((sign * ((1 - n) * qq + (1 + n) * c2), sign * ((1 - n) * qq - (1 + n) * c2),
-             sign * 2 * (1 + n) * (x * y)), 2 * qq)
+    sign, qq = inc.sign, q * q
+    return (sign * qq, sign * (x * x - y * y), sign * 2 * (x * y)), qq
 
 
 def build_system(complex_: BendingComplex, geometry: str,
@@ -220,8 +222,7 @@ def build_system(complex_: BendingComplex, geometry: str,
     nw, height = len(complex_.walls), 2 if geometry == "so" else 3
     blocks = []  # per binding: its rows and their denominator (1 for floats)
     for b in complex_.bindings:
-        terms = [(idx[inc.wall], *_incidence_coefficients(geometry, complex_.dimension,
-                                                          inc, exact))
+        terms = [(idx[inc.wall], *_incidence_coefficients(geometry, inc, exact))
                  for inc in b.incidences]
         den = math.lcm(*(q for _, _, q in terms)) if exact else 1
         block = [[0] * nw for _ in range(height)]

@@ -36,7 +36,7 @@ def parse_rational(x) -> Fraction:
     """``Fraction(x)``, except that text in exponent notation whose exponent
     exceeds ``MAX_EXPONENT`` in size is a ``ValueError``: ``Fraction`` would
     first build ``10**exponent`` in full, seconds of work for ``"1e10000000"``."""
-    if isinstance(x, str):
+    if isinstance(x, str) and ("e" in x or "E" in x):
         m = _EXPONENT.search(x)
         if m and abs(int(m[1])) > MAX_EXPONENT:
             raise ValueError(f"exponent beyond {MAX_EXPONENT} in {x[:40]!r}")
@@ -275,9 +275,13 @@ class RationalMatrix:
 
 
 def _eliminate(m: RationalMatrix, reduce: bool = True):
-    """Fraction-free elimination on the numerators (Bareiss 1968), pivoting
-    on the first nonzero entry in column order, after dividing each row by its
-    content so that it is primitive. A pivot ``p`` replaces each row with
+    """Fraction-free elimination on the numerators (Bareiss 1968), after
+    dividing each row by its content so that it is primitive. Columns are
+    taken in order; the pivot row is the candidate with the smallest nonzero
+    |entry| in the column (the first on ties; the scan stops at +-1), which
+    keeps the multipliers small: a closure system's +-1 rows pivot first.
+    Any choice gives the same pivot columns, rank, RREF and det (the swap sign
+    is tracked). A pivot ``p`` replaces each row with
     ``f != 0`` in its column by ``(p*a - f*b) // den``: ``den`` is the pivot
     that last updated the row, whose true Bareiss value ``row * prev / den`` is
     an integer minor (Sylvester's identity), so the division is exact. Rows
@@ -300,7 +304,13 @@ def _eliminate(m: RationalMatrix, reduce: bool = True):
     for c in range(nc):
         if r == nr:
             break
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        piv, best = None, 0
+        for i in range(r, nr):
+            a = rows[i][c]
+            if a and (piv is None or abs(a) < best):
+                piv, best = i, abs(a)
+                if best == 1:
+                    break
         if piv is None:
             continue
         if piv != r:
@@ -330,9 +340,10 @@ def _eliminate(m: RationalMatrix, reduce: bool = True):
 def rref_rank(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     """Row-reduced echelon form, rank, and pivot columns, all exact.
 
-    Pivot selection: first nonzero entry in column order. Deterministic.
-    The elimination runs on integers (:func:`_eliminate`); each row is
-    brought over one common denominator once, at the end.
+    The pivot columns do not depend on which row :func:`_eliminate` pivots
+    on (the one whose entry has least size), and the result is the unique
+    RREF. The elimination runs on integers; each row is brought over one
+    common denominator once, at the end.
     """
     rows, dens, pivots, _, _, _ = _eliminate(m)
     d = lcm(*dens[:len(pivots)])  # the rows below the rank are zero
@@ -408,7 +419,7 @@ class FloatMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def _threshold(self) -> float:
-        big = max((abs(x) for x in self.entries), default=0.0)
+        big = max(map(abs, self.entries), default=0.0)
         return self.rank_tolerance * max(1.0, big)
 
     def rank(self) -> int:
@@ -425,10 +436,11 @@ class FloatMatrix:
                 continue
             m[r], m[piv] = m[piv], m[r]
             inv = 1.0 / m[r][c]
+            tail = m[r][c:]  # entries left of c are never read again
             for i in range(r + 1, self.rows):
                 f = m[i][c] * inv
                 if f:
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                    m[i][c:] = [a - f * b for a, b in zip(m[i][c:], tail)]
             r += 1
         return r
 

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from bendlab.bending import BendingDatum, trace_derivative_matrix
 from bendlab.cli import main
 from bendlab.fixtures import _read_json
+from bendlab.words import parse_word
 
 
 @pytest.fixture()
@@ -332,6 +334,29 @@ def test_bend_malformed_words_is_input_error(tmp_path, fixture_files, line):
     done = run_child("bend", "--pants", fixture_files["pants"], "--words", str(words))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: bad words file"), done.stderr
+
+
+@pytest.mark.parametrize("walls,code", [(["bad", "P_RB"], 0), (["bad"], 1)])
+def test_bend_words_skips_a_wall_whose_centralizer_fails(tmp_path, fixture_files,
+                                                         bundle, walls, code):
+    # "x" alone has a five-dimensional centralizer; the trace matrix gets one
+    # column per wall with a bending, and the exit code follows the cocycles
+    known = {"bad": {"name": "bad", "subgroup": ["x"], "stable": "y"},
+             **{p["name"]: p for p in _read_json("borromean_pants.json")}}
+    path, out = tmp_path / "pants.json", tmp_path / "out.json"
+    path.write_text(json.dumps([known[w] for w in walls]))
+    done = run_child("bend", "--pants", str(path), "--words", fixture_files["words"],
+                     "--output", str(out))
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    doc = json.loads(out.read_text())
+    assert doc["pants"][0] == {"name": "bad", "error": "centralizer dimension 5 != 1"}
+    with open(fixture_files["words"]) as fh:
+        words = [parse_word(ln.strip(), bundle.presentation.generators) for ln in fh]
+    data = [BendingDatum.from_json(known[w], bundle.presentation, "sl") for w in walls[1:]]
+    want = trace_derivative_matrix(bundle.representation, data, words)
+    assert doc["trace_derivative_matrix"] == want.to_json()
+    assert doc["trace_matrix_rank"] == want.rank() == len(data)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])

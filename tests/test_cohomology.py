@@ -189,3 +189,26 @@ def test_report_json_shape(borromean, modules, spaces):
     doc = report.to_json()
     assert doc["dimH1"] == doc["dimZ1"] - doc["dimB1"]
     assert doc["dimPH1"] == doc["dimPZ1"] - doc["dimB1"]
+
+
+# per Z^1 basis vector, the three cusps' answers (T: trivial there), as
+# computed when every call rebuilt each cusp's condition rows
+CUSPIDAL_DEFECTS = {
+    "standard": ["TFF", "FFF", "FFF", "FTF", "FFT", "FFF", "FFF"],
+    "nu": ["FTT", "FTT", "FTT", "FFT", "FTT", "FTT", "FTT", "FTT", "FTF", "FTF",
+           "FTF", "FTT", "FTT", "FTT", "FTT"],
+    "adjoint": ["FFF"] * 12,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CUSPIDAL_DEFECTS))
+def test_cuspidal_defects_of_the_z1_basis_are_unchanged(borromean, modules, kind):
+    space = CocycleSpace(borromean, modules[kind])  # conditions not built yet
+    got = ["".join("T" if t else "F" for t in space.cuspidal_defect(c))
+           for c in space.z1_basis]
+    assert got == CUSPIDAL_DEFECTS[kind]
+    # the kept rows answer as rows built afresh for each cocycle do
+    for c in space.z1_basis:
+        fresh = [not any(space._coboundary_conditions(cusp).matvec(c))
+                 for cusp in borromean.cusps]
+        assert space.cuspidal_defect(c) == fresh

@@ -130,17 +130,19 @@ def test_pythagorean_nullities(k):
 
 def test_sl_row_identity_and_sign_use():
     angles = [Angle.exact_pair(Fraction(c), Fraction(s)) for c, s in PYTH[:5]]
+    doubled = [a.double() for a in angles]
     cx = single_binding(angles)
     system = build_system(cx, "sl")
-    # per incidence, row1 + row2 = 2a * sign with a = (1-n)/2 = -1
-    combined = [a + b for a, b in zip(system.row(0), system.row(1))]
-    assert combined == [Fraction(-2)] * 5
+    # per incidence: s, s cos 2theta and s sin 2theta
+    assert system.to_rows() == [[Fraction(1)] * 5, [c2 for c2, _ in doubled],
+                                [s2 for _, s2 in doubled]]
 
-    flipped = single_binding(angles, signs=[1, -1, 1, -1, 1])
+    signs = [1, -1, 1, -1, 1]
+    flipped = single_binding(angles, signs=signs)
     system2 = build_system(flipped, "sl")
-    combined2 = [a + b for a, b in zip(system2.row(0), system2.row(1))]
-    assert combined2 == [Fraction(-2), Fraction(2), Fraction(-2),
-                         Fraction(2), Fraction(-2)]
+    assert system2.to_rows() == [[Fraction(s) for s in signs],
+                                 [s * c2 for s, (c2, _) in zip(signs, doubled)],
+                                 [s * s2 for s, (_, s2) in zip(signs, doubled)]]
 
 
 def test_so_ignores_signs():
@@ -180,14 +182,13 @@ def test_complex_json_roundtrip(bundle):
 
 
 def fraction_system(cx, geometry, exact=True):
-    """The closure rows from the closed formulas, summed entry by entry in
-    ``Fraction`` (or, for ``exact=False``, float) arithmetic: the reference
-    for the integer rows of ``build_system``."""
+    """The closure rows from the closed formulas (so: cos, sin; sl: s,
+    s cos 2theta, s sin 2theta), summed entry by entry in ``Fraction`` (or,
+    for ``exact=False``, float) arithmetic: the reference for the integer
+    rows of ``build_system``."""
     idx = {w: k for k, w in enumerate(cx.walls)}
-    n, nw = cx.dimension, len(cx.walls)
+    nw = len(cx.walls)
     zero = Fraction(0) if exact else 0.0
-    a = Fraction(1 - n, 2) if exact else (1 - n) / 2
-    b = Fraction(1 + n, 2) if exact else (1 + n) / 2
     rows = []
     for binding in cx.bindings:
         block = [[zero] * nw for _ in range(2 if geometry == "so" else 3)]
@@ -196,12 +197,31 @@ def fraction_system(cx, geometry, exact=True):
                 coeffs = (inc.angle.cos, inc.angle.sin)
             else:
                 c2, s2 = inc.angle.double()
-                coeffs = (inc.sign * (a + b * c2), inc.sign * (a - b * c2),
-                          inc.sign * (b * s2))
+                coeffs = (inc.sign, inc.sign * c2, inc.sign * s2)
             for row, x in zip(block, coeffs):
                 row[idx[inc.wall]] += x
         rows.extend(block)
     return rows
+
+
+def paper_sl_blocks(cx):
+    """Per binding, the paper's sl rows s(a + b cos 2theta),
+    s(a - b cos 2theta) and s(b sin 2theta), with a = (1-n)/2 and
+    b = (1+n)/2, in ``Fraction`` arithmetic."""
+    idx = {w: k for k, w in enumerate(cx.walls)}
+    n = cx.dimension
+    a, b = Fraction(1 - n, 2), Fraction(1 + n, 2)
+    blocks = []
+    for binding in cx.bindings:
+        block = [[Fraction(0)] * len(cx.walls) for _ in range(3)]
+        for inc in binding.incidences:
+            c2, s2 = inc.angle.double()
+            coeffs = (inc.sign * (a + b * c2), inc.sign * (a - b * c2),
+                      inc.sign * (b * s2))
+            for row, x in zip(block, coeffs):
+                row[idx[inc.wall]] += x
+        blocks.append(block)
+    return blocks
 
 
 def euclid_angle(rng, height):
@@ -264,3 +284,33 @@ def test_integer_rows_of_named_angles_and_no_bindings(geometry):
     for n in range(2, 7):
         empty = BendingComplex(n, ("w1", "w2"))
         assert build_system(empty, geometry) == RationalMatrix.zeros(0, 2)
+
+
+def same_row_space(xs, ys):
+    """True when the row lists xs and ys span the same rational row space."""
+    rank = RationalMatrix.from_rows(xs + ys).rank()
+    return RationalMatrix.from_rows(xs).rank() == rank == RationalMatrix.from_rows(ys).rank()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_balanced_sl_rows_span_the_paper_rows(n):
+    # a = (1-n)/2 and b = (1+n)/2 are nonzero for n >= 2, so each binding's
+    # balanced rows and the paper's rows are invertible combinations
+    rng = random.Random(900 + n)
+    repeated = flipped = named = 0
+    for _ in range(40):
+        cx = seeded_complex(rng, n, rng.randint(2, 12))
+        incs = [i for b in cx.bindings for i in b.incidences]
+        repeated += any(len({i.wall for i in b.incidences}) < len(b.incidences)
+                        for b in cx.bindings)
+        flipped += any(i.sign == -1 for i in incs)
+        named += any(i.angle.to_json() in RIGHT_ANGLES[1:] for i in incs)
+        system = build_system(cx, "sl").to_rows()
+        paper = paper_sl_blocks(cx)
+        for k, block in enumerate(paper):
+            assert same_row_space(system[3 * k:3 * k + 3], block)
+        stacked = [row for block in paper for row in block]
+        assert same_row_space(system, stacked)
+        assert (bending_dimension(cx, "sl").nullity
+                == len(cx.walls) - RationalMatrix.from_rows(stacked).rank())
+    assert min(repeated, flipped, named) >= 10

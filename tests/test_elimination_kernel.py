@@ -3,10 +3,10 @@
 ``linalg`` stores int numerators over one common denominator, eliminates on
 Python ints and divides with ``//``, which is only right while every division
 is exact. The reference below is plain Gauss-Jordan on ``Fraction`` entries
-(the algorithm ``linalg`` used before the integer kernel), with the same
-first-nonzero pivot rule, plus plain ``Fraction`` loops for products, sums,
-scaling, stacking, slicing, traces and powers; since the RREF is unique, every
-result must agree exactly, including on rank-deficient, empty, zero-row,
+(the algorithm ``linalg`` used before the integer kernel), pivoting on the
+first nonzero entry where the kernel takes the entry of least size, plus plain
+``Fraction`` loops for products, sums, scaling, stacking, slicing, traces and
+powers; since the RREF is unique, every result must agree exactly, including on rank-deficient, empty, zero-row,
 zero-column, negative-pivot and 60+-bit inputs. Every result must also be in
 the canonical form (denominator positive and coprime to the numerators, 1 for
 zero), which is what makes ``==`` and ``hash`` exact. ``rank()`` and ``det``
@@ -299,3 +299,35 @@ def test_rows_are_made_primitive_before_elimination():
             elim_rows, _, pivots, last, _, _ = _eliminate(m, reduce)
             widest = max(abs(a).bit_length() for r in elim_rows for a in r)
             assert widest < 60 and abs(last).bit_length() < 60
+
+
+@pytest.mark.parametrize("rows", [
+    [[6, 1, 2], [3, 5, 1], [1, 4, 7]],           # the +-1 entry comes last
+    [[-4, 2, 0, 1], [2, 0, 3, 5], [-1, 7, 1, 0]],
+    [[0, 9, 2], [0, -3, 4], [5, 6, 1]],           # least entry in a later column
+    [[10, 4], [-2, 3], [6, 1], [-2, 5]],          # a tie: the first -2 pivots
+    [[8, 2, 3], [4, 1, 1], [2, 5, 7]],            # singular after one step
+])
+def test_least_size_pivots_match_reference(rows):
+    check_against_reference(rows, len(rows[0]))
+    # the first echelon row is the (primitive) row of least size in column 0
+    m = RationalMatrix.from_rows(rows)
+    first = min((i for i in range(len(rows)) if rows[i][0]),
+                key=lambda i: abs(rows[i][0]))
+    assert echelon(m)[0].row(0) == tuple(Fraction(x) for x in rows[first])
+
+
+def test_seeded_least_size_pivots_match_reference():
+    # each column's first nonzero entry is the largest in size, so the rule
+    # swaps at nearly every step
+    rng = random.Random(404)
+    for _ in range(120):
+        nr, nc = rng.randint(2, 7), rng.randint(2, 7)
+        if rng.random() < 0.5:
+            nc = nr
+        cols = [sorted((rng.choice((1, -1)) * rng.randint(0, 40) for _ in range(nr)),
+                       key=abs, reverse=True) for _ in range(nc)]
+        rows = [[cols[j][i] for j in range(nc)] for i in range(nr)]
+        if rng.random() < 0.3:  # a dependent row
+            rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
+        check_against_reference(rows, nc)
