@@ -14,6 +14,8 @@ from .reps import FirstOrderRep, QuadraticForm, Representation, first_order_eval
 from .words import Presentation, Word, parse_word
 
 GEOMETRIES = ("sl", "so_ext")
+# the coefficient module that carries each geometry's tangent cocycles
+MODULE_KIND = {"sl": "nu", "so_ext": "standard"}
 
 
 class CentralizerError(ValueError):
@@ -24,8 +26,8 @@ class CentralizerError(ValueError):
 
 @dataclass(frozen=True)
 class BendingDatum:
-    """A wall subgroup (generators of its pi_1), the HNN stable letter, and
-    the target geometry."""
+    """A wall subgroup (generators of its pi_1), the HNN stable letter (one
+    generator with exponent +1), and the target geometry."""
 
     name: str
     subgroup: tuple[Word, ...]
@@ -35,6 +37,10 @@ class BendingDatum:
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
+        letters = self.stable_letter.letters
+        if len(letters) != 1 or letters[0][1] != 1:
+            raise ValueError(f"stable letter {self.stable_letter} is not a single "
+                             "generator with exponent +1")
 
     @classmethod
     def from_json(cls, data: dict, presentation: Presentation,
@@ -162,10 +168,7 @@ def hnn_first_order(rep: Representation, datum: BendingDatum,
     """First-order HNN bending: the stable letter's derivative is v * rho(g),
     every other generator is constant. For so_ext the base is the embedded
     (n+2)-dimensional representation."""
-    letters = datum.stable_letter.letters
-    if len(letters) != 1 or letters[0][1] != 1:
-        raise ValueError("stable letter must be a single presentation generator")
-    gen = letters[0][0]
+    gen = datum.stable_letter.letters[0][0]
     if gen not in rep.presentation.generators:
         raise ValueError(f"stable letter {gen!r} is not a presentation generator")
     base = rep if datum.geometry == "sl" else rep.embedded_in_extension()
@@ -179,22 +182,17 @@ def tangent_cocycle(fo: FirstOrderRep, module: CoefficientModule) -> tuple[Fract
     """Generator values of the deformation cocycle c(g) = E(g) M(g)^-1,
     projected to the module's complement coordinates and stacked.
 
-    Requires module kind "nu" for sl geometry (base size n+1) or "standard"
-    for so_ext geometry (base size n+2); the result is checked to vanish on
-    every relator of the presentation.
+    The module kind picks the geometry by ``MODULE_KIND``: "nu" for sl
+    (base size n+1), "standard" for so_ext (base size n+2). The result is
+    checked to vanish on every relator of the presentation.
     """
     rep = module.rep
-    base_size = fo.base.size
-    if module.kind == "nu":
-        if base_size != rep.size:
-            raise ValueError("nu coefficients need an sl-geometry first-order rep")
-        ambient = "sl"
-    elif module.kind == "standard":
-        if base_size != rep.size + 1:
-            raise ValueError("standard coefficients need an so_ext first-order rep")
-        ambient = "so_ext"
-    else:
+    ambient = next((g for g, kind in MODULE_KIND.items() if kind == module.kind), None)
+    if ambient is None:
         raise ValueError(f"no tangent cocycles in module kind {module.kind!r}")
+    if fo.base.size != rep.size + (ambient == "so_ext"):
+        raise ValueError(f"{module.kind} coefficients need an {ambient}-geometry "
+                         "first-order rep")
     coords: list[Fraction] = []
     for g in rep.presentation.generators:
         if fo.derivative[g].is_zero():  # a constant generator: c(g) = 0

@@ -18,8 +18,9 @@ import sys
 
 from . import fixtures
 from .acceptance import COEFFICIENT_KINDS, run_fixture_suite
-from .bending import (BendingDatum, CentralizerError, centralizer_generator,
-                      first_order_trace_matrix, hnn_first_order, tangent_cocycle)
+from .bending import (MODULE_KIND, BendingDatum, CentralizerError,
+                      centralizer_generator, first_order_trace_matrix,
+                      hnn_first_order, tangent_cocycle)
 from .cohomology import (CocycleSpace, class_span_dim, h1_report,
                          peripheral_invariant_dims)
 from .complexes import BendingComplex, bending_dimension
@@ -54,23 +55,26 @@ def _float_tolerance() -> float:
     return tol
 
 
-def _load_json(path: str):
+def _load(path: str, what: str, build):
+    """``build`` applied to the JSON document at ``path``; a file that cannot
+    be read, is not JSON, or has the wrong shape for ``what`` is an InputError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            document = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return build(document)
+    except _MALFORMED as exc:
+        raise InputError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _load_presentation(path: str | None) -> Presentation:
     if path is None:
         return fixtures.load_presentation()
-    try:
-        return Presentation.from_json(_load_json(path))
-    except _MALFORMED as exc:
-        raise InputError(f"bad presentation file {path}: {exc}") from exc
+    return _load(path, "presentation", Presentation.from_json)
 
 
 def _load_representation(path: str | None, pres: Presentation) -> Representation:
@@ -79,27 +83,19 @@ def _load_representation(path: str | None, pres: Presentation) -> Representation
             return fixtures.load_representation(pres)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    try:
-        return Representation.from_json(_load_json(path), pres)
-    except _MALFORMED as exc:
-        raise InputError(f"bad representation file {path}: {exc}") from exc
+    return _load(path, "representation", lambda doc: Representation.from_json(doc, pres))
 
 
 def _load_complex(path: str) -> BendingComplex:
-    try:
-        return BendingComplex.from_json(_load_json(path))
-    except _MALFORMED as exc:
-        raise InputError(f"bad complex file {path}: {exc}") from exc
+    return _load(path, "complex", BendingComplex.from_json)
 
 
 def _load_pants(path: str, pres: Presentation, geometry: str) -> list[BendingDatum]:
-    try:
-        pants = _load_json(path)
-        if not isinstance(pants, list):
+    def build(document):
+        if not isinstance(document, list):
             raise ValueError("a pants file is a JSON list of walls")
-        return [BendingDatum.from_json(entry, pres, geometry) for entry in pants]
-    except _MALFORMED as exc:
-        raise InputError(f"bad pants file {path}: {exc}") from exc
+        return [BendingDatum.from_json(entry, pres, geometry) for entry in document]
+    return _load(path, "pants", build)
 
 
 def _require_valid(rep: Representation, what: str) -> None:
@@ -128,6 +124,9 @@ def cmd_validate(args) -> int:
 
 def cmd_cohomology(args) -> int:
     pres = _load_presentation(args.presentation)
+    if args.parabolic == "per-subgroup" and not pres.cusps:
+        raise InputError("the presentation has no cusps, which --parabolic "
+                         "per-subgroup needs; use --parabolic none|per-element")
     rep = _load_representation(args.rep, pres)
     _require_valid(rep, "representation")
     kind = COEFFICIENT_KINDS[args.coefficients]
@@ -169,6 +168,7 @@ def cmd_branched_system(args) -> int:
 def cmd_bend(args) -> int:
     pres = _load_presentation(args.presentation)
     rep = _load_representation(args.rep, pres)
+    _require_valid(rep, "representation")
     geometry = "sl" if args.geometry == "sl" else "so_ext"
     data = _load_pants(args.pants, pres, geometry)
     words = []
@@ -179,7 +179,7 @@ def cmd_bend(args) -> int:
                          for ln in fh if ln.strip()]
         except (OSError, ValueError) as exc:
             raise InputError(f"bad words file {args.words}: {exc}") from exc
-    kind = "nu" if geometry == "sl" else "standard"
+    kind = MODULE_KIND[geometry]
     module = CoefficientModule(rep, kind)
     space = CocycleSpace(pres, module)
     entries = []
@@ -218,11 +218,15 @@ def cmd_bend(args) -> int:
 def cmd_borromean(args) -> int:
     if args.cases < 1:
         raise InputError(f"--cases must be at least 1, got {args.cases}")
-    if args.presentation or args.rep:
-        # overridden fixture: run validation first, abort with a diagnostic
-        pres = _load_presentation(args.presentation)
-        _require_valid(_load_representation(args.rep, pres), "fixture override")
-    checks = run_fixture_suite(coefficients=args.coefficients, cases=args.cases)
+    pres = _load_presentation(args.presentation)
+    rep = _load_representation(args.rep, pres)
+    _require_valid(rep, "fixture override")
+    try:
+        bundle = fixtures.load_bundle(pres, rep)
+    except ValueError as exc:
+        raise InputError("the fixture override does not cover the bundled walls "
+                         f"and words: {exc}") from exc
+    checks = run_fixture_suite(bundle, args.coefficients, args.cases)
     for c in checks:
         print(c.line(), file=sys.stderr)
     doc = {"checks": [c.to_json() for c in checks],

@@ -15,9 +15,9 @@ Each binding contributes rows over the wall-weight variables:
 
 Repeated incidences of one wall sum into that wall's column. Exact systems
 are built on ints: each incidence over its angle's denominator q (cos = x/q,
-sin = y/q), each binding over the lcm of its incidences' denominators, and
-every row over the lcm of the bindings'. The float backend uses the same
-per-incidence coefficients with q = 1.
+sin = y/q), and every row over d, the lcm of all the incidences'
+denominators, so an incidence enters as its numerators times d // q. The
+float backend runs the same loop with q = 1.0 and d = 1.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ def build_system(complex_: BendingComplex, geometry: str,
 
     Returns a RationalMatrix when every angle is exact, otherwise a
     FloatMatrix (with a warning if exact and float angles are mixed). The
-    exact rows are built on ints: each binding's rows over the lcm of its
-    incidences' denominators, then every row over the lcm of those.
+    exact rows are built on ints over one denominator, the lcm of all the
+    incidences' denominators.
     """
     if geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}")
@@ -220,24 +220,18 @@ def build_system(complex_: BendingComplex, geometry: str,
                       "float backend", stacklevel=2)
     idx = {w: k for k, w in enumerate(complex_.walls)}
     nw, height = len(complex_.walls), 2 if geometry == "so" else 3
-    blocks = []  # per binding: its rows and their denominator (1 for floats)
-    for b in complex_.bindings:
-        terms = [(idx[inc.wall], *_incidence_coefficients(geometry, inc, exact))
-                 for inc in b.incidences]
-        den = math.lcm(*(q for _, _, q in terms)) if exact else 1
-        block = [[0] * nw for _ in range(height)]
-        for j, nums, q in terms:
-            for row, a in zip(block, nums):
-                row[j] += a * (den // q) if exact else a / q
-        blocks.append((block, den))
+    terms = [[(idx[inc.wall], *_incidence_coefficients(geometry, inc, exact))
+              for inc in b.incidences] for b in complex_.bindings]
+    d = math.lcm(*(q for binding in terms for _, _, q in binding)) if exact else 1
+    rows = [[0] * nw for _ in range(len(terms) * height)]
+    for k, binding in enumerate(terms):
+        for j, nums, q in binding:
+            for row, a in zip(rows[k * height:(k + 1) * height], nums):
+                row[j] += a * (d // q)  # floats: d // q == 1 // 1.0 == 1.0
+    entries = [a for row in rows for a in row]
     if not exact:
-        return FloatMatrix(len(blocks) * height, nw,
-                           [x for block, _ in blocks for row in block for x in row],
-                           rank_tolerance)
-    d = math.lcm(*(den for _, den in blocks))
-    return RationalMatrix.from_numerators(
-        len(blocks) * height, nw,
-        [a * (d // den) for block, den in blocks for row in block for a in row], d)
+        return FloatMatrix(len(rows), nw, entries, rank_tolerance)
+    return RationalMatrix.from_numerators(len(rows), nw, entries, d)
 
 
 @dataclass

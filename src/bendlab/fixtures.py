@@ -76,9 +76,9 @@ class FixtureBundle:
     trace_reference: RationalMatrix
 
 
-def load_bundle() -> FixtureBundle:
-    pres = load_presentation()
-    rep = load_representation(pres)
+def load_bundle(pres: Presentation, rep: Representation) -> FixtureBundle:
+    """The bundled walls, complex, words and reference around ``pres`` and
+    ``rep``; raises ValueError when ``pres`` cannot parse the walls or words."""
     return FixtureBundle(
         presentation=pres,
         representation=rep,

@@ -1,13 +1,14 @@
 import pytest
 
 from bendlab.cohomology import CocycleSpace
-from bendlab.fixtures import load_bundle
+from bendlab.fixtures import load_bundle, load_presentation, load_representation
 from bendlab.modules import CoefficientModule
 
 
 @pytest.fixture(scope="session")
 def bundle():
-    return load_bundle()
+    pres = load_presentation()
+    return load_bundle(pres, load_representation(pres))
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,8 @@ CASES = 1000
 
 
 @pytest.fixture(scope="module")
-def ctx():
-    return acceptance.make_context()
+def ctx(bundle):
+    return acceptance.make_context(bundle)
 
 
 def report(results):

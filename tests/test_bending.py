@@ -150,8 +150,8 @@ def test_full_group_has_no_centralizer(bundle, borromean):
 
 def test_stable_letter_must_be_generator(bundle, sl_generators):
     datum = bundle.pants[0]
-    bad = replace(datum, stable_letter=datum.stable_letter * Word.generator("y"))
     with pytest.raises(ValueError):
+        bad = replace(datum, stable_letter=datum.stable_letter * Word.generator("y"))
         hnn_first_order(bundle.representation, bad, sl_generators[datum.name])
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from bendlab.bending import BendingDatum, trace_derivative_matrix
 from bendlab.cli import main
 from bendlab.fixtures import _read_json
+from bendlab.linalg import RationalMatrix
 from bendlab.words import parse_word
 
 
@@ -363,3 +365,87 @@ def test_bend_words_skips_a_wall_whose_centralizer_fails(tmp_path, fixture_files
 def test_branched_system_rejects_non_finite_tolerance(fixture_files, monkeypatch, tol):
     monkeypatch.setenv("BENDLAB_FLOAT_TOL", tol)
     assert main(["branched-system", fixture_files["complex"], "--geometry", "so"]) == 2
+
+
+def write_json(path, document):
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+@pytest.mark.parametrize("geometry", ["sl", "so"])
+@pytest.mark.parametrize("stable", ["x y", "x^-1", "1"])
+def test_bend_stable_letter_not_one_generator_is_input_error(tmp_path, geometry, stable):
+    pants = _read_json("borromean_pants.json")
+    pants[0]["stable"] = stable
+    done = run_child("bend", "--pants", write_json(tmp_path / "pants.json", pants),
+                     "--geometry", geometry)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: bad pants file"), done.stderr
+
+
+@pytest.mark.parametrize("mode,code", [("per-subgroup", 2), ("per-element", 0)])
+def test_cohomology_without_cusps(tmp_path, mode, code):
+    pres = _read_json("borromean_presentation.json")
+    del pres["cusps"]
+    done = run_child("cohomology", "--presentation",
+                     write_json(tmp_path / "pres.json", pres), "--parabolic", mode)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 2:
+        assert "--parabolic none|per-element" in done.stderr, done.stderr
+
+
+@pytest.mark.parametrize("geometry", ["sl", "so"])
+def test_bend_rejects_a_representation_that_breaks_its_form(tmp_path, fixture_files,
+                                                            geometry):
+    rep = _read_json("borromean_representation.json")
+    rep["form"][0][0] = "2"  # the images preserve diag(-1, 1, 1, 1), not diag(2, 1, 1, 1)
+    done = run_child("bend", "--rep", write_json(tmp_path / "rep.json", rep),
+                     "--pants", fixture_files["pants"], "--geometry", geometry)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: representation failed validation"), done.stderr
+
+
+def test_borromean_runs_the_suite_on_its_override(tmp_path, bundle):
+    boost = RationalMatrix.from_rows([
+        [Fraction(5, 3), Fraction(4, 3), 0, 0], [Fraction(4, 3), Fraction(5, 3), 0, 0],
+        [0, 0, 1, 0], [0, 0, 0, 1]])
+    rep = bundle.representation.conjugated(boost).to_json()
+    out = tmp_path / "out.json"
+    done = run_child("borromean", "--rep", write_json(tmp_path / "rep.json", rep),
+                     "--cases", "2", "--output", str(out))
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(out.read_text())
+    assert doc["failed"] == 0 and doc["passed"] == len(doc["checks"]) == 21
+    standard = next(c for c in doc["checks"] if c["name"] == "six standard cocycles: class span")
+    # the conjugate's coboundary preimages; the bundled fixture's first is (-1/2, 0, 0, -1/2)
+    assert standard["computed"]["relations"]["RG+GR"] == ["-5/6", "-2/3", "0", "-1/2"]
+
+
+def test_borromean_override_that_cannot_parse_the_walls_is_input_error(tmp_path):
+    rename = str.maketrans("xyz", "abc")
+    pres = json.loads(json.dumps(_read_json("borromean_presentation.json")).translate(rename))
+    rep = _read_json("borromean_representation.json")
+    rep["images"] = {g.translate(rename): m for g, m in rep["images"].items()}
+    done = run_child("borromean", "--presentation", write_json(tmp_path / "pres.json", pres),
+                     "--rep", write_json(tmp_path / "rep.json", rep), "--cases", "2")
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: the fixture override does not cover"), done.stderr
+
+
+def test_borromean_override_without_wall_centralizers_fails_its_checks(tmp_path):
+    # the trivial representation is valid, but every wall centralizes all of sl(4)
+    rep = _read_json("borromean_representation.json")
+    identity = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+    rep["images"] = {g: identity for g in rep["images"]}
+    out = tmp_path / "out.json"
+    done = run_child("borromean", "--rep", write_json(tmp_path / "rep.json", rep),
+                     "--cases", "2", "--output", str(out))
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    errors = {c["name"]: c["computed"] for c in json.loads(out.read_text())["checks"]
+              if c["id"] == "-"}
+    assert errors["check_nu_class_span"] == "centralizer dimension 15 != 1"

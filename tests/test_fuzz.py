@@ -2,7 +2,9 @@
 reduced word or raises ``WordError``, and each loader behind the CLI (the
 presentation, representation, complex and pants files) either returns or
 raises ``InputError``, which the CLI turns into exit 2 with a message. None
-lets another exception out, and each example runs within a time bound.
+lets another exception out, and each example runs within a time bound. The
+``bend`` and ``cohomology`` commands are fuzzed whole as well, since a loader
+can accept a document that the command rejects later: each returns 0, 1 or 2.
 
 The runs are derandomized so the suite is reproducible; the strategies mix
 arbitrary JSON values with documents of the right outline, so that checks
@@ -132,3 +134,31 @@ pants = either(st.lists(either(st.fixed_dictionaries(
 @given(pants, st.sampled_from(["sl", "so_ext"]))
 def test_pants_loader_returns_or_raises_input_error(document, geometry):
     load(cli._load_pants, document, PRESENTATION, geometry)
+
+
+# documents that reach the computation: the fixture's wall subgroups and
+# relators, with stable letters and cusps from the word grammar
+command_pants = pants | st.lists(st.fixed_dictionaries({
+    "subgroup": st.sampled_from([w["subgroup"] for w in _read_json("borromean_pants.json")]),
+    "stable": word_text}), min_size=1, max_size=2)
+command_presentations = presentations | st.fixed_dictionaries(
+    {"generators": st.just(list(GENS)),
+     "relators": st.just(_read_json("borromean_presentation.json")["relators"])},
+    optional={"cusps": st.lists(st.fixed_dictionaries(
+        {"meridian": word_text, "longitude": word_text}), max_size=3)})
+
+
+@FUZZ
+@given(command_pants, st.sampled_from(["sl", "so"]))
+def test_bend_command_exits_zero_one_or_two(document, geometry):
+    def bend(path):
+        return cli.main(["bend", "--pants", path, "--geometry", geometry])
+    assert load(bend, document) in (0, 1, 2)
+
+
+@FUZZ
+@given(command_presentations, st.sampled_from(["per-subgroup", "per-element", "none"]))
+def test_cohomology_command_exits_zero_one_or_two(document, mode):
+    def cohomology(path):
+        return cli.main(["cohomology", "--presentation", path, "--parabolic", mode])
+    assert load(cohomology, document) in (0, 1, 2)
