@@ -79,10 +79,6 @@ class SuiteContext:
         return self.reports[key]
 
 
-def make_context(bundle: FixtureBundle) -> SuiteContext:
-    return SuiteContext(bundle)
-
-
 def check_dimensions(ctx: SuiteContext, kinds=("standard", "nu", "adjoint")):
     """Criteria 1-3: headline cohomology dimensions."""
     expected = {"standard": {"H1": 3, "PH1": 0},
@@ -448,7 +444,7 @@ def run_fixture_suite(bundle: FixtureBundle, coefficients: str | None = None,
     that coefficient kind. A step that the bundle's data leave unable to run
     (an override whose walls have no one-dimensional centralizer, or that
     has no cusps) is one failed check that names the error."""
-    ctx = make_context(bundle)
+    ctx = SuiteContext(bundle)
     kinds = tuple(COEFFICIENT_KINDS.values()) if coefficients is None else (
         COEFFICIENT_KINDS[coefficients],)
     steps = [(check_dimensions, kinds),

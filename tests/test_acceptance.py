@@ -16,7 +16,7 @@ CASES = 1000
 
 @pytest.fixture(scope="module")
 def ctx(bundle):
-    return acceptance.make_context(bundle)
+    return acceptance.SuiteContext(bundle)
 
 
 def report(results):

@@ -10,7 +10,7 @@ from bendlab.bending import (BendingDatum, CentralizerError, _commutator_map,
                              match_up_to_column_signs_and_scale, tangent_cocycle,
                              trace_derivative_matrix, wall_centralizer)
 from bendlab.cohomology import class_span_dim, is_cuspidal
-from bendlab.fixtures import load_pants
+from bendlab.fixtures import PANTS_TRACE, load_pants
 from bendlab.linalg import RationalMatrix, rref_rank
 from bendlab.reps import _with_unit, first_order_evaluate
 from bendlab.words import Word
@@ -125,12 +125,12 @@ def test_empty_subgroup_overcounts_so_ext(bundle):
 
 
 @pytest.mark.parametrize("geometry", ["sl", "so_ext"])
-@pytest.mark.parametrize("trace_variant", [False, True], ids=["pants", "pants_trace"])
-def test_centralizers_follow_conjugation(bundle, geometry, trace_variant):
+@pytest.mark.parametrize("path", [None, PANTS_TRACE], ids=["pants", "pants_trace"])
+def test_centralizers_follow_conjugation(bundle, geometry, path):
     # the conjugators (the Pythagorean boost among them) move the wall
     # matrices away from the fixture's entry heights
     rep = bundle.representation
-    walls = load_pants(bundle.presentation, geometry, trace_variant)
+    walls = load_pants(bundle.presentation, geometry, path)
     for u in _conjugator_pool(rep):
         big = u if geometry == "sl" else _with_unit(u)
         conj = rep.conjugated(u)

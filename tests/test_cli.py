@@ -9,9 +9,13 @@ import pytest
 
 from bendlab.bending import BendingDatum, trace_derivative_matrix
 from bendlab.cli import main
-from bendlab.fixtures import _read_json
+from bendlab.fixtures import DATA
 from bendlab.linalg import RationalMatrix
 from bendlab.words import parse_word
+
+
+def bundled_json(name):
+    return json.loads((DATA / name).read_text())
 
 
 @pytest.fixture()
@@ -23,7 +27,7 @@ def fixture_files(tmp_path):
                       ("pants_trace", "borromean_pants_trace.json"),
                       ("complex", "borromean_complex.json")):
         p = tmp_path / name
-        p.write_text(json.dumps(_read_json(name)))
+        p.write_text(json.dumps(bundled_json(name)))
         paths[key] = str(p)
     words = tmp_path / "words.txt"
     words.write_text("x^-1 y\nx z\ny z\nx y z\nx z y\ny z x^-1\n")
@@ -53,7 +57,7 @@ def test_validate_defaults_to_bundled(capsys):
 
 @pytest.mark.parametrize("generators", [5, ["x", ""], "xyz"])
 def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
-    pres = dict(_read_json("borromean_presentation.json"), generators=generators)
+    pres = dict(bundled_json("borromean_presentation.json"), generators=generators)
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(pres))
     # a child process with a timeout: an empty name once hung the parser
@@ -112,7 +116,7 @@ def test_cohomology_none_mode_has_no_parabolic(capsys):
 
 
 def test_cohomology_rejects_bad_representation(capsys, fixture_files, tmp_path):
-    rep = _read_json("borromean_representation.json")
+    rep = bundled_json("borromean_representation.json")
     rep["images"]["x"][0][0] = "4"
     bad = tmp_path / "bad_rep.json"
     bad.write_text(json.dumps(rep))
@@ -179,7 +183,7 @@ def test_bend_trace_variant(capsys, fixture_files):
 
 
 def test_bend_exits_one_when_no_wall_is_valid(capsys, tmp_path):
-    invalid = [_read_json("borromean_pants_trace.json")[k] for k in (0, 3, 4)]
+    invalid = [bundled_json("borromean_pants_trace.json")[k] for k in (0, 3, 4)]
     path = tmp_path / "pants.json"
     path.write_text(json.dumps(invalid))
     code, doc = run(capsys, "bend", "--pants", str(path), "--geometry", "sl")
@@ -219,7 +223,7 @@ def test_borromean_rejects_cases_below_one(capsys, cases):
 
 
 def test_borromean_corrupted_relator_aborts(capsys, tmp_path):
-    pres = _read_json("borromean_presentation.json")
+    pres = bundled_json("borromean_presentation.json")
     pres["relators"][0] = "[x,[y^-1,z]] x"
     bad = tmp_path / "pres.json"
     bad.write_text(json.dumps(pres))
@@ -233,15 +237,15 @@ def test_deterministic_output(capsys):
     assert json.dumps(doc1) == json.dumps(doc2)
 
 
-def run_child(*argv, timeout=60):
+def run_child(*argv, timeout=60, cwd=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.run([sys.executable, "-m", "bendlab.cli", *argv], timeout=timeout,
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True)
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
 
 
 def fixture_complex(**changes):
-    return dict(_read_json("borromean_complex.json"), **changes)
+    return dict(bundled_json("borromean_complex.json"), **changes)
 
 
 def complex_with_angle(angle):
@@ -301,7 +305,7 @@ def test_branched_system_non_finite_or_deep_json_is_input_error(tmp_path, text, 
 @pytest.mark.parametrize("entry", ["1e10000000", "1E-10000000", "-3.5e+99999"])
 def test_huge_exponent_entries_exit_two_without_expanding(tmp_path, entry):
     # Fraction alone spends about 15 s expanding "1e10000000", so the timeout is short
-    rep = _read_json("borromean_representation.json")
+    rep = bundled_json("borromean_representation.json")
     rep["images"]["x"][0][0] = entry
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep))
@@ -344,7 +348,7 @@ def test_bend_words_skips_a_wall_whose_centralizer_fails(tmp_path, fixture_files
     # "x" alone has a five-dimensional centralizer; the trace matrix gets one
     # column per wall with a bending, and the exit code follows the cocycles
     known = {"bad": {"name": "bad", "subgroup": ["x"], "stable": "y"},
-             **{p["name"]: p for p in _read_json("borromean_pants.json")}}
+             **{p["name"]: p for p in bundled_json("borromean_pants.json")}}
     path, out = tmp_path / "pants.json", tmp_path / "out.json"
     path.write_text(json.dumps([known[w] for w in walls]))
     done = run_child("bend", "--pants", str(path), "--words", fixture_files["words"],
@@ -375,7 +379,7 @@ def write_json(path, document):
 @pytest.mark.parametrize("geometry", ["sl", "so"])
 @pytest.mark.parametrize("stable", ["x y", "x^-1", "1"])
 def test_bend_stable_letter_not_one_generator_is_input_error(tmp_path, geometry, stable):
-    pants = _read_json("borromean_pants.json")
+    pants = bundled_json("borromean_pants.json")
     pants[0]["stable"] = stable
     done = run_child("bend", "--pants", write_json(tmp_path / "pants.json", pants),
                      "--geometry", geometry)
@@ -386,7 +390,7 @@ def test_bend_stable_letter_not_one_generator_is_input_error(tmp_path, geometry,
 
 @pytest.mark.parametrize("mode,code", [("per-subgroup", 2), ("per-element", 0)])
 def test_cohomology_without_cusps(tmp_path, mode, code):
-    pres = _read_json("borromean_presentation.json")
+    pres = bundled_json("borromean_presentation.json")
     del pres["cusps"]
     done = run_child("cohomology", "--presentation",
                      write_json(tmp_path / "pres.json", pres), "--parabolic", mode)
@@ -399,7 +403,7 @@ def test_cohomology_without_cusps(tmp_path, mode, code):
 @pytest.mark.parametrize("geometry", ["sl", "so"])
 def test_bend_rejects_a_representation_that_breaks_its_form(tmp_path, fixture_files,
                                                             geometry):
-    rep = _read_json("borromean_representation.json")
+    rep = bundled_json("borromean_representation.json")
     rep["form"][0][0] = "2"  # the images preserve diag(-1, 1, 1, 1), not diag(2, 1, 1, 1)
     done = run_child("bend", "--rep", write_json(tmp_path / "rep.json", rep),
                      "--pants", fixture_files["pants"], "--geometry", geometry)
@@ -426,8 +430,8 @@ def test_borromean_runs_the_suite_on_its_override(tmp_path, bundle):
 
 def test_borromean_override_that_cannot_parse_the_walls_is_input_error(tmp_path):
     rename = str.maketrans("xyz", "abc")
-    pres = json.loads(json.dumps(_read_json("borromean_presentation.json")).translate(rename))
-    rep = _read_json("borromean_representation.json")
+    pres = json.loads(json.dumps(bundled_json("borromean_presentation.json")).translate(rename))
+    rep = bundled_json("borromean_representation.json")
     rep["images"] = {g.translate(rename): m for g, m in rep["images"].items()}
     done = run_child("borromean", "--presentation", write_json(tmp_path / "pres.json", pres),
                      "--rep", write_json(tmp_path / "rep.json", rep), "--cases", "2")
@@ -438,7 +442,7 @@ def test_borromean_override_that_cannot_parse_the_walls_is_input_error(tmp_path)
 
 def test_borromean_override_without_wall_centralizers_fails_its_checks(tmp_path):
     # the trivial representation is valid, but every wall centralizes all of sl(4)
-    rep = _read_json("borromean_representation.json")
+    rep = bundled_json("borromean_representation.json")
     identity = [[str(int(i == j)) for j in range(4)] for i in range(4)]
     rep["images"] = {g: identity for g in rep["images"]}
     out = tmp_path / "out.json"
@@ -449,3 +453,49 @@ def test_borromean_override_without_wall_centralizers_fails_its_checks(tmp_path)
     errors = {c["name"]: c["computed"] for c in json.loads(out.read_text())["checks"]
               if c["id"] == "-"}
     assert errors["check_nu_class_span"] == "centralizer dimension 15 != 1"
+
+
+def test_bundled_defaults_follow_the_same_path_as_an_explicit_rep(tmp_path):
+    # a relator the bundled representation does not kill: validate prints its
+    # report and exits 1 whether the representation is named or omitted
+    pres = bundled_json("borromean_presentation.json")
+    pres["relators"][0] = "[x,[y^-1,z]] x"
+    path = write_json(tmp_path / "pres.json", pres)
+    omitted = run_child("validate", "--presentation", path)
+    named = run_child("validate", "--presentation", path,
+                      "--rep", str(DATA / "borromean_representation.json"))
+    assert omitted.returncode == named.returncode == 1, omitted.stderr
+    assert omitted.stdout == named.stdout
+    assert json.loads(omitted.stdout)["ok"] is False
+    done = run_child("cohomology", "--presentation", path)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: representation failed validation"), done.stderr
+
+
+BUNDLED_INPUTS = ["--presentation", str(DATA / "borromean_presentation.json"),
+                  "--rep", str(DATA / "borromean_representation.json")]
+WALLS = ["--pants", str(DATA / "borromean_pants.json"),
+         "--words", str(DATA / "borromean_words.txt")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["cohomology", "--coefficients", "r31"],
+    ["cohomology", "--coefficients", "nu"],
+    ["cohomology", "--coefficients", "adjoint"],
+    ["bend", "--geometry", "sl", *WALLS],
+    ["bend", "--geometry", "so", *WALLS],
+    ["borromean", "--cases", "2"],
+], ids=["validate", "r31", "nu", "adjoint", "bend-sl", "bend-so", "borromean"])
+def test_omitted_inputs_read_as_the_bundled_paths(capsys, argv):
+    omitted = main(argv)
+    out = capsys.readouterr().out
+    assert main(argv + BUNDLED_INPUTS) == omitted == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["borromean", "--cases", "2"]])
+def test_bundled_inputs_are_found_outside_the_checkout(tmp_path, argv):
+    done = run_child(*argv, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr

@@ -1,14 +1,14 @@
 """Property fuzzing of the input surface: the word parser returns a freely
-reduced word or raises ``WordError``, and each loader behind the CLI (the
-presentation, representation, complex and pants files) either returns or
+reduced word or raises ``WordError``, and each input reader behind the CLI
+(the presentation, representation, complex and pants files) either returns or
 raises ``InputError``, which the CLI turns into exit 2 with a message. None
 lets another exception out, and each example runs within a time bound. The
-``bend`` and ``cohomology`` commands are fuzzed whole as well, since a loader
+``bend`` and ``cohomology`` commands are fuzzed whole as well, since a reader
 can accept a document that the command rejects later: each returns 0, 1 or 2.
 
 The runs are derandomized so the suite is reproducible; the strategies mix
 arbitrary JSON values with documents of the right outline, so that checks
-deep inside each loader are reached as well as the outer shape checks.
+deep inside each reader are reached as well as the outer shape checks.
 """
 
 import json
@@ -20,13 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bendlab import cli, fixtures
-from bendlab.fixtures import _read_json
 from bendlab.words import MAX_WORD_LETTERS, Word, WordError, parse_word
 
 GENS = ("x", "y", "z")
 PRESENTATION = fixtures.load_presentation()
 FUZZ = settings(max_examples=120, deadline=timedelta(seconds=5), derandomize=True,
                 database=None)
+
+
+def bundled_json(name):
+    return json.loads((fixtures.DATA / name).read_text())
+
 
 # words from the grammar, with exponents of up to ten digits and nested brackets
 grammar_words = st.recursive(
@@ -48,13 +52,13 @@ def either(outline):
 
 
 def load(loader, document, *args):
-    """Write ``document`` as JSON and run ``loader(path, *args)``: its result,
-    or None when it raised ``InputError``."""
+    """Write ``document`` as JSON and run ``loader(*args, path=path)``: its
+    result, or None when it raised ``InputError``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(document))
         try:
-            return loader(str(path), *args)
+            return loader(*args, path=str(path))
         except cli.InputError:
             return None
 
@@ -81,12 +85,12 @@ presentations = either(st.fixed_dictionaries({
 @FUZZ
 @given(presentations)
 def test_presentation_loader_returns_or_raises_input_error(document):
-    load(cli._load_presentation, document)
+    load(fixtures.load_presentation, document)
 
 
 entries = st.sampled_from(["0", "1", "-1", "1/2", "3/5", "1/0"]) | json_values
 representations = either(st.fixed_dictionaries({
-    "form": either(st.just(_read_json("borromean_representation.json")["form"])),
+    "form": either(st.just(bundled_json("borromean_representation.json")["form"])),
     "images": either(st.dictionaries(st.sampled_from(GENS), either(
         st.lists(st.lists(entries, min_size=4, max_size=4), min_size=4, max_size=4)),
         max_size=3)),
@@ -96,7 +100,7 @@ representations = either(st.fixed_dictionaries({
 @FUZZ
 @given(representations)
 def test_representation_loader_returns_or_raises_input_error(document):
-    load(cli._load_representation, document, PRESENTATION)
+    load(fixtures.load_representation, document, PRESENTATION)
 
 
 walls = st.sampled_from(["w1", "w2", "w3"])
@@ -117,7 +121,7 @@ complexes = either(st.fixed_dictionaries({
 @FUZZ
 @given(complexes)
 def test_complex_loader_returns_or_raises_input_error(document):
-    cx = load(cli._load_complex, document)
+    cx = load(fixtures.load_complex, document)
     # a loaded complex holds JSON integers only: no truncated float, no bool
     if cx is not None:
         assert type(cx.dimension) is int and cx.dimension >= 2
@@ -133,17 +137,17 @@ pants = either(st.lists(either(st.fixed_dictionaries(
 @FUZZ
 @given(pants, st.sampled_from(["sl", "so_ext"]))
 def test_pants_loader_returns_or_raises_input_error(document, geometry):
-    load(cli._load_pants, document, PRESENTATION, geometry)
+    load(fixtures.load_pants, document, PRESENTATION, geometry)
 
 
 # documents that reach the computation: the fixture's wall subgroups and
 # relators, with stable letters and cusps from the word grammar
 command_pants = pants | st.lists(st.fixed_dictionaries({
-    "subgroup": st.sampled_from([w["subgroup"] for w in _read_json("borromean_pants.json")]),
+    "subgroup": st.sampled_from([w["subgroup"] for w in bundled_json("borromean_pants.json")]),
     "stable": word_text}), min_size=1, max_size=2)
 command_presentations = presentations | st.fixed_dictionaries(
     {"generators": st.just(list(GENS)),
-     "relators": st.just(_read_json("borromean_presentation.json")["relators"])},
+     "relators": st.just(bundled_json("borromean_presentation.json")["relators"])},
     optional={"cusps": st.lists(st.fixed_dictionaries(
         {"meridian": word_text, "longitude": word_text}), max_size=3)})
 
