@@ -1,7 +1,7 @@
 """Exact twisted group cohomology and branched-bending deformations for
 finitely presented matrix groups."""
 
-from .bending import (BendingDatum, BendingGenerator, CentralizerError,
+from .bending import (BendingDatum, CentralizerError,
                       centralizer_generator, char_poly, hnn_first_order,
                       match_up_to_column_signs_and_scale, tangent_cocycle,
                       trace_derivative_matrix)
@@ -21,7 +21,7 @@ from .words import (GroupRingElem, Presentation, Word, WordError, fox_derivative
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angle", "BendingComplex", "BendingDatum", "BendingGenerator", "Binding",
+    "Angle", "BendingComplex", "BendingDatum", "Binding",
     "CentralizerError", "CocycleSpace", "CoefficientModule", "CohomologyReport",
     "FirstOrderRep", "FloatMatrix", "GroupRingElem", "Incidence", "Presentation",
     "QuadraticForm", "RationalMatrix", "Representation", "SplitResult",

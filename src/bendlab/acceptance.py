@@ -180,9 +180,15 @@ def check_pythagorean_ranks(ctx: SuiteContext):
                         results)]
 
 
+def _bend(rep, data):
+    """The first-order HNN bending of ``rep`` along each wall datum, in order."""
+    return [hnn_first_order(rep, datum, centralizer_generator(rep, datum))
+            for datum in data]
+
+
 def check_trace_matrix(ctx: SuiteContext):
     """Criteria 9-10: rank and entrywise reproduction of the reference."""
-    f = trace_derivative_matrix(ctx.bundle.representation, ctx.bundle.pants_trace,
+    f = trace_derivative_matrix(_bend(ctx.bundle.representation, ctx.bundle.pants_trace),
                                 ctx.bundle.trace_words)
     rank = f.rank()
     out = [CheckResult("9", "trace-derivative matrix rank", rank == 6, 6, rank)]
@@ -211,15 +217,10 @@ STANDARD_RELATIONS = (("RG", "GR"), ("BR", "RB"), ("GB", "BG"),
 
 def bending_cocycles(ctx: SuiteContext, geometry: str):
     """Tangent cocycles of the six fixture bendings in the given geometry."""
-    rep = ctx.bundle.representation
     module = ctx.module(MODULE_KIND[geometry])
-    cocycles = []
-    for datum in ctx.bundle.pants:
-        datum = replace(datum, geometry=geometry)
-        v = centralizer_generator(rep, datum)
-        fo = hnn_first_order(rep, datum, v)
-        cocycles.append(tangent_cocycle(fo, module))
-    return cocycles
+    data = [replace(datum, geometry=geometry) for datum in ctx.bundle.pants]
+    return [tangent_cocycle(fo, module)
+            for fo in _bend(ctx.bundle.representation, data)]
 
 
 def check_nu_class_span(ctx: SuiteContext):
@@ -351,13 +352,9 @@ def suite_relator_derivatives(ctx: SuiteContext, cases: int, seed: int = 104):
     """First-order relator derivatives vanish for all six bendings, including
     on random normal-closure elements."""
     rng = random.Random(seed)
-    rep = ctx.bundle.representation
     pres = ctx.bundle.presentation
     gens = list(pres.generators)
-    fos = []
-    for datum in ctx.bundle.pants:
-        v = centralizer_generator(rep, datum)
-        fos.append(hnn_first_order(rep, datum, v))
+    fos = _bend(ctx.bundle.representation, ctx.bundle.pants)
     bad = 0
     checked = 0
     for fo in fos:

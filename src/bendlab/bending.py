@@ -13,9 +13,9 @@ from .modules import (CoefficientModule, _as_columns, adjoint_basis, nu_basis,
 from .reps import FirstOrderRep, QuadraticForm, Representation, first_order_evaluate
 from .words import Presentation, Word, parse_word
 
-GEOMETRIES = ("sl", "so_ext")
 # the coefficient module that carries each geometry's tangent cocycles
 MODULE_KIND = {"sl": "nu", "so_ext": "standard"}
+GEOMETRIES = tuple(MODULE_KIND)
 
 
 class CentralizerError(ValueError):
@@ -27,7 +27,9 @@ class CentralizerError(ValueError):
 @dataclass(frozen=True)
 class BendingDatum:
     """A wall subgroup (generators of its pi_1), the HNN stable letter (one
-    generator with exponent +1), and the target geometry."""
+    generator with exponent +1), and the target geometry. The datum is the
+    one place that knows its geometry: :meth:`base` picks the representation
+    that its centralizer and its bending live in."""
 
     name: str
     subgroup: tuple[Word, ...]
@@ -52,11 +54,10 @@ class BendingDatum:
                    tuple(parse_word(w, gens) for w in data["subgroup"]),
                    parse_word(data["stable"], gens), geometry)
 
-
-@dataclass(frozen=True)
-class BendingGenerator:
-    v: RationalMatrix
-    geometry: str
+    def base(self, rep: Representation) -> Representation:
+        """The representation this wall bends: ``rep`` itself for sl, its
+        embedding preserving Q + (1) for so_ext."""
+        return rep if self.geometry == "sl" else rep.embedded_in_extension()
 
 
 def char_poly(m: RationalMatrix) -> list[Fraction]:
@@ -101,7 +102,7 @@ def _commutator_map(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix.from_numerators(n * n, n * n, out, d)
 
 
-def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> BendingGenerator:
+def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> RationalMatrix:
     """The normalized generator of the one-dimensional centralizer of the wall
     matrices in the ambient algebra of the form Q: sl(n+1) for sl, with Q of
     size n+1, and so(Q) for so_ext, where Q is the extended form of size n+2.
@@ -137,7 +138,7 @@ def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> BendingGenera
         for s in (c, -c):
             v = x0.scale(s)
             if ((v + ident.scale(n)) * (v - ident)).is_zero():
-                return BendingGenerator(v, "sl")
+                return v
         raise ValueError("centralizer element has wrong eigenvalue structure")
     if t2 >= 0:
         raise ValueError("so_ext centralizer element is not elliptic (tr v^2 >= 0)")
@@ -150,32 +151,28 @@ def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> BendingGenera
         v = -v
     if not (v * v * v + v).is_zero():
         raise ValueError("so_ext centralizer element does not satisfy v^3 = -v")
-    return BendingGenerator(v, "so_ext")
+    return v
 
 
-def centralizer_generator(rep: Representation, datum: BendingDatum) -> BendingGenerator:
+def centralizer_generator(rep: Representation, datum: BendingDatum) -> RationalMatrix:
     """The normalized generator of the one-dimensional centralizer of the
-    wall subgroup in the ambient algebra: the wall words evaluated in ``rep``
-    (sl) or in its embedding preserving Q + (1) (so_ext), handed to
-    :func:`wall_centralizer`."""
-    base = rep if datum.geometry == "sl" else rep.embedded_in_extension()
+    wall subgroup in the ambient algebra: the wall words evaluated in
+    ``datum.base(rep)``, handed to :func:`wall_centralizer`."""
+    base = datum.base(rep)
     return wall_centralizer([base.evaluate(w) for w in datum.subgroup], base.form,
                             datum.geometry)
 
 
 def hnn_first_order(rep: Representation, datum: BendingDatum,
-                    v: BendingGenerator) -> FirstOrderRep:
-    """First-order HNN bending: the stable letter's derivative is v * rho(g),
-    every other generator is constant. For so_ext the base is the embedded
-    (n+2)-dimensional representation."""
+                    v: RationalMatrix) -> FirstOrderRep:
+    """First-order HNN bending of ``datum.base(rep)`` by the generator v: the
+    stable letter's derivative is v * rho(g), every other generator is
+    constant. A v of the wrong size raises ValueError in that product."""
     gen = datum.stable_letter.letters[0][0]
     if gen not in rep.presentation.generators:
         raise ValueError(f"stable letter {gen!r} is not a presentation generator")
-    base = rep if datum.geometry == "sl" else rep.embedded_in_extension()
-    if v.geometry != datum.geometry:
-        raise ValueError("bending generator geometry does not match the datum")
-    deriv = {gen: v.v * base.images[gen]}
-    return FirstOrderRep(base, deriv)
+    base = datum.base(rep)
+    return FirstOrderRep(base, {gen: v * base.images[gen]})
 
 
 def tangent_cocycle(fo: FirstOrderRep, module: CoefficientModule) -> tuple[Fraction, ...]:
@@ -210,22 +207,18 @@ def tangent_cocycle(fo: FirstOrderRep, module: CoefficientModule) -> tuple[Fract
     return tuple(coords)
 
 
-def first_order_trace_matrix(first_orders, words) -> RationalMatrix:
+def trace_derivative_matrix(first_orders, words) -> RationalMatrix:
     """Entry (i, j): the first-order trace change tr E(w_i) of words[i] under
-    the sl first-order representation first_orders[j]."""
+    the first-order representation first_orders[j].
+
+    For so_ext bendings the matrix is zero: the reflection in the original
+    hyperplane (diag(1, ..., 1, -1) on Q + (1)) fixes the base and, since
+    the wall has no centralizer in so(Q), negates v. So it carries the
+    bending at t to the bending at -t; every trace is even in t, and its
+    first-order change vanishes."""
     columns = [[first_order_evaluate(fo, w)[1].trace() for w in words]
                for fo in first_orders]
     return RationalMatrix(len(columns), len(words), [x for c in columns for x in c]).transpose()
-
-
-def trace_derivative_matrix(rep: Representation, data, words) -> RationalMatrix:
-    """Entry (i, j): the first-order trace change of words[i] under the HNN
-    bending for data[j]: tr E(w_i)."""
-    if any(datum.geometry != "sl" for datum in data):
-        raise ValueError("trace derivatives are defined for sl geometry")
-    return first_order_trace_matrix(
-        [hnn_first_order(rep, datum, centralizer_generator(rep, datum)) for datum in data],
-        words)
 
 
 def match_up_to_column_signs_and_scale(computed: RationalMatrix,

@@ -18,10 +18,10 @@ import sys
 
 from . import fixtures
 from .acceptance import COEFFICIENT_KINDS, run_fixture_suite
-from .bending import (MODULE_KIND, CentralizerError, centralizer_generator,
-                      first_order_trace_matrix, hnn_first_order, tangent_cocycle)
+from .bending import (MODULE_KIND, centralizer_generator, hnn_first_order,
+                      tangent_cocycle, trace_derivative_matrix)
 from .cohomology import (CocycleSpace, class_span_dim, h1_report,
-                         peripheral_invariant_dims)
+                         peripheral_invariant_dims, scannell_check)
 from .complexes import bending_dimension
 from .fixtures import InputError
 from .linalg import DEFAULT_FLOAT_TOLERANCE
@@ -96,9 +96,8 @@ def cmd_cohomology(args) -> int:
         # coboundaries are parabolic, so PZ^1 contains all of B^1
         consistency["ph1_equals_pz1_minus_b1"] = all(
             all(space.cuspidal_defect(b)) for b in space.b1_basis)
-        peri = peripheral_invariant_dims(pres, module)
-        consistency["restriction_identity"] = (
-            report.dim_h1 - report.dim_ph1 == sum(peri))
+        consistency["restriction_identity"] = scannell_check(
+            report, sum(peripheral_invariant_dims(pres, module)))
     doc = report.to_json()
     doc["coefficients"] = args.coefficients
     doc["consistency"] = consistency
@@ -134,11 +133,11 @@ def cmd_bend(args) -> int:
         entry = {"name": datum.name}
         try:
             v = centralizer_generator(rep, datum)
-        except (CentralizerError, ValueError) as exc:
+        except ValueError as exc:
             entry["error"] = str(exc)
             entries.append(entry)
             continue
-        entry["v"] = v.v.to_json()
+        entry["v"] = v.to_json()
         fo = hnn_first_order(rep, datum, v)
         bendings.append(fo)
         try:
@@ -152,8 +151,8 @@ def cmd_bend(args) -> int:
         entries.append(entry)
     doc = {"geometry": args.geometry, "coefficients": kind, "pants": entries,
            "class_span": class_span_dim(space, cocycles) if cocycles else 0}
-    if geometry == "sl" and words:
-        f = first_order_trace_matrix(bendings, words)
+    if words:
+        f = trace_derivative_matrix(bendings, words)
         doc["trace_derivative_matrix"] = f.to_json()
         doc["trace_matrix_rank"] = f.rank()
     _emit(doc, args.output)

@@ -49,7 +49,7 @@ class CocycleSpace:
         self.dim_b1 = rank
         self.dim_h0 = self.d - rank
         self.dim_h1 = self.dim_z1 - self.dim_b1
-        self._cusp_conditions = None  # per cusp, built on first use
+        self._conditions = {}  # tuple(group) -> its coboundary conditions
 
     def word_row(self, w: Word) -> RationalMatrix:
         """d x (g*d) matrix evaluating c(w) from generator values: block i is
@@ -89,13 +89,19 @@ class CocycleSpace:
         One echelon-only pass over [I - w | word_row(w)]_w: the rows whose
         pivot lies past the first d columns are zero there, so they combine
         the rows by left-kernel vectors, and together they span the left
-        kernel; their word-row parts are the conditions."""
+        kernel; their word-row parts are the conditions. They depend only on
+        the space and the group, so each group's are built once."""
+        key = tuple(group)
+        if key in self._conditions:
+            return self._conditions[key]
         d = self.d
         system = self.module.coboundary_map(group).hstack(
             RationalMatrix.zeros(0, self.g * d).vstack(*(self.word_row(w) for w in group)))
         rows, pivots = echelon(system)
         first = next((k for k, p in enumerate(pivots) if p >= d), len(pivots))
-        return rows.submatrix(range(first, len(pivots)), range(d, system.cols))
+        self._conditions[key] = rows.submatrix(range(first, len(pivots)),
+                                               range(d, system.cols))
+        return self._conditions[key]
 
     def parabolic_kernel_dim(self, word_groups) -> int:
         """Dimension of {c in Z^1 : for each group there is one alpha with
@@ -108,13 +114,9 @@ class CocycleSpace:
     def cuspidal_defect(self, c) -> list[bool]:
         """Per cusp: True when the restricted class is trivial there, i.e. one
         alpha gives c(w) = (I - w).alpha on both the meridian and the
-        longitude. True therefore means there is no defect at that cusp.
-        Each cusp's condition rows depend only on the space, so they are
-        built once, on the first call."""
-        if self._cusp_conditions is None:
-            self._cusp_conditions = [self._coboundary_conditions(cusp)
-                                     for cusp in self.presentation.cusps]
-        return [not any(rows.matvec(c)) for rows in self._cusp_conditions]
+        longitude. True therefore means there is no defect at that cusp."""
+        return [not any(self._coboundary_conditions(cusp).matvec(c))
+                for cusp in self.presentation.cusps]
 
 
 def cocycle_eval(space: CocycleSpace, c, w: Word) -> tuple[Fraction, ...]:

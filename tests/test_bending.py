@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bendlab.acceptance import _conjugator_pool
+from bendlab.acceptance import _bend, _conjugator_pool
 from bendlab.bending import (BendingDatum, CentralizerError, _commutator_map,
                              centralizer_generator, char_poly, hnn_first_order,
                              match_up_to_column_signs_and_scale, tangent_cocycle,
@@ -42,7 +42,7 @@ def test_char_poly_of_diagonal():
 def test_sl_centralizers_normalized(bundle, sl_generators):
     expect = [Fraction(1), Fraction(0), Fraction(-6), Fraction(8), Fraction(-3)]
     for datum in bundle.pants:
-        v = sl_generators[datum.name].v
+        v = sl_generators[datum.name]
         assert v.trace() == 0
         # (x+3)(x-1)^3 = x^4 - 6x^2 + 8x - 3
         assert char_poly(v) == expect
@@ -56,7 +56,7 @@ def test_sl_centralizers_normalized(bundle, sl_generators):
 def test_so_centralizers_normalized(bundle, so_pants, so_generators):
     emb = bundle.representation.embedded_in_extension()
     for datum in so_pants:
-        v = so_generators[datum.name].v
+        v = so_generators[datum.name]
         assert (v * v * v + v).is_zero()
         assert not v.is_zero()
         assert rref_rank(v)[1] == 2
@@ -74,14 +74,14 @@ def test_sl_centralizer_golden_value(bundle, sl_generators):
     # frozen from an independent elimination over the same wall subgroup
     expect = RationalMatrix.from_rows([
         [5, 0, 4, -4], [0, 1, 0, 0], [-4, 0, -3, 4], [4, 0, 4, -3]])
-    assert sl_generators["P_RB"].v == expect
+    assert sl_generators["P_RB"] == expect
 
 
 def test_so_centralizer_golden_value(so_generators):
     expect = RationalMatrix.from_rows([
         [0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, -1],
         [0, 0, 0, 0, 1], [1, 0, 1, -1, 0]])
-    assert so_generators["P_RB"].v == expect
+    assert so_generators["P_RB"] == expect
 
 
 def test_commutator_map_is_the_vectorized_commutator():
@@ -97,11 +97,12 @@ def test_commutator_map_is_the_vectorized_commutator():
 @pytest.mark.parametrize("geometry", ["sl", "so_ext"])
 def test_wall_centralizer_takes_matrices_and_a_form(bundle, geometry):
     rep = bundle.representation
-    base = rep if geometry == "sl" else rep.embedded_in_extension()
     for datum in bundle.pants:
+        datum = replace(datum, geometry=geometry)
+        base = datum.base(rep)
         walls = [base.evaluate(w) for w in datum.subgroup]
         got = wall_centralizer(walls, base.form, geometry)
-        assert got == centralizer_generator(rep, replace(datum, geometry=geometry))
+        assert got == centralizer_generator(rep, datum)
     with pytest.raises(ValueError, match="wall matrices must be"):
         wall_centralizer([RationalMatrix.identity(base.size + 1)], base.form, geometry)
     with pytest.raises(ValueError, match="unknown geometry"):
@@ -135,8 +136,8 @@ def test_centralizers_follow_conjugation(bundle, geometry, path):
         big = u if geometry == "sl" else _with_unit(u)
         conj = rep.conjugated(u)
         for datum in walls:
-            moved = big * centralizer_generator(rep, datum).v * big.inverse()
-            got = centralizer_generator(conj, datum).v
+            moved = big * centralizer_generator(rep, datum) * big.inverse()
+            got = centralizer_generator(conj, datum)
             assert got == moved if geometry == "sl" else got in (moved, -moved)
 
 
@@ -162,7 +163,7 @@ def test_hnn_derivative_structure(bundle, sl_generators):
     stable = datum.stable_letter.letters[0][0]
     for g in bundle.presentation.generators:
         if g == stable:
-            assert fo.derivative[g] == v.v * bundle.representation.images[g]
+            assert fo.derivative[g] == v * bundle.representation.images[g]
         else:
             assert fo.derivative[g].is_zero()
 
@@ -194,11 +195,9 @@ def test_relator_derivatives_vanish_on_normal_closure(bundle, sl_generators):
         assert e.is_zero()
 
 
-def test_zero_generator_gives_zero_cocycle(bundle, modules, sl_generators):
+def test_zero_generator_gives_zero_cocycle(bundle, modules):
     datum = bundle.pants[0]
-    zero = replace(sl_generators[datum.name],
-                   v=RationalMatrix.zeros(4, 4))
-    fo = hnn_first_order(bundle.representation, datum, zero)
+    fo = hnn_first_order(bundle.representation, datum, RationalMatrix.zeros(4, 4))
     c = tangent_cocycle(fo, modules["nu"])
     assert all(x == 0 for x in c)
 
@@ -276,19 +275,19 @@ def test_individual_nu_cocycles_not_cuspidal(bundle, modules, spaces,
 
 
 def test_trace_matrix_zero_rows_on_relators(bundle):
-    f = trace_derivative_matrix(bundle.representation, bundle.pants_trace[:2],
+    f = trace_derivative_matrix(_bend(bundle.representation, bundle.pants_trace[:2]),
                                 list(bundle.presentation.relators))
     assert f.is_zero()
 
 
 def test_trace_matrix_rank_six(bundle):
-    f = trace_derivative_matrix(bundle.representation, bundle.pants_trace,
+    f = trace_derivative_matrix(_bend(bundle.representation, bundle.pants_trace),
                                 bundle.trace_words)
     assert rref_rank(f)[1] == 6
 
 
 def test_trace_matrix_matches_reference(bundle):
-    f = trace_derivative_matrix(bundle.representation, bundle.pants_trace,
+    f = trace_derivative_matrix(_bend(bundle.representation, bundle.pants_trace),
                                 bundle.trace_words)
     match = match_up_to_column_signs_and_scale(f, bundle.trace_reference)
     assert match is not None
@@ -300,15 +299,35 @@ def test_trace_matrix_matches_reference(bundle):
 def test_trace_matrix_from_valid_bendings_has_rank_five(bundle):
     # the genuinely integrable six have one trace relation; the reference
     # matrix is reproduced by the trace-variant wall data instead
-    f = trace_derivative_matrix(bundle.representation, bundle.pants,
+    f = trace_derivative_matrix(_bend(bundle.representation, bundle.pants),
                                 bundle.trace_words)
     assert rref_rank(f)[1] == 5
 
 
-def test_trace_matrix_requires_sl(bundle, so_pants):
-    with pytest.raises(ValueError):
-        trace_derivative_matrix(bundle.representation, so_pants,
-                                bundle.trace_words)
+@pytest.mark.parametrize("path", [None, PANTS_TRACE], ids=["pants", "pants_trace"])
+def test_so_ext_trace_matrix_is_zero(bundle, path):
+    # the reflection in the original hyperplane carries the bending at t to
+    # the bending at -t, so every trace is even in t
+    rep = bundle.representation
+    walls = load_pants(bundle.presentation, "so_ext", path)
+    for conj in [rep] + [rep.conjugated(u) for u in _conjugator_pool(rep)]:
+        f = trace_derivative_matrix(_bend(conj, walls), bundle.trace_words)
+        assert f.shape == (len(bundle.trace_words), len(walls))
+        assert f.is_zero()
+
+
+def test_datum_base_is_decided_by_its_geometry(bundle, so_pants):
+    rep = bundle.representation
+    assert bundle.pants[0].base(rep) is rep
+    emb = so_pants[0].base(rep)
+    assert emb.size == rep.size + 1
+    assert all(datum.base(rep) is emb for datum in so_pants)
+
+
+def test_generator_of_the_wrong_size_is_rejected(bundle, so_generators):
+    datum = bundle.pants[0]  # an sl wall bends the 4x4 representation
+    with pytest.raises(ValueError, match="shape mismatch"):
+        hnn_first_order(bundle.representation, datum, so_generators[datum.name])
 
 
 def test_match_helper_rejects_mismatch(bundle):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bendlab.acceptance import _bend
 from bendlab.bending import BendingDatum, trace_derivative_matrix
 from bendlab.cli import main
 from bendlab.fixtures import DATA
@@ -360,9 +361,20 @@ def test_bend_words_skips_a_wall_whose_centralizer_fails(tmp_path, fixture_files
     with open(fixture_files["words"]) as fh:
         words = [parse_word(ln.strip(), bundle.presentation.generators) for ln in fh]
     data = [BendingDatum.from_json(known[w], bundle.presentation, "sl") for w in walls[1:]]
-    want = trace_derivative_matrix(bundle.representation, data, words)
+    want = trace_derivative_matrix(_bend(bundle.representation, data), words)
     assert doc["trace_derivative_matrix"] == want.to_json()
     assert doc["trace_matrix_rank"] == want.rank() == len(data)
+
+
+def test_bend_so_words_prints_the_zero_trace_matrix():
+    # so_ext traces are even in the bending parameter, so their first-order
+    # change is zero on every word
+    done = run_child("bend", "--geometry", "so", "--pants", str(DATA / "borromean_pants.json"),
+                     "--words", str(DATA / "borromean_words.txt"))
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["trace_derivative_matrix"] == [["0"] * 6 for _ in range(6)]
+    assert doc["trace_matrix_rank"] == 0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bendlab import cohomology
 from bendlab.cohomology import (CocycleSpace, class_span_dim, cocycle_eval,
                                 default_parabolic_words, h1_report,
                                 peripheral_invariant_dims, scannell_check)
@@ -207,8 +208,25 @@ def test_cuspidal_defects_of_the_z1_basis_are_unchanged(borromean, modules, kind
     got = ["".join("T" if t else "F" for t in space.cuspidal_defect(c))
            for c in space.z1_basis]
     assert got == CUSPIDAL_DEFECTS[kind]
-    # the kept rows answer as rows built afresh for each cocycle do
+    # the kept rows answer as rows built afresh in a new space do
+    again = CocycleSpace(borromean, modules[kind])
     for c in space.z1_basis:
-        fresh = [not any(space._coboundary_conditions(cusp).matvec(c))
+        fresh = [not any(again._coboundary_conditions(cusp).matvec(c))
                  for cusp in borromean.cusps]
         assert space.cuspidal_defect(c) == fresh
+
+
+@pytest.mark.parametrize("kind", sorted(CUSPIDAL_DEFECTS))
+def test_cuspidal_defect_reuses_the_per_subgroup_rows(borromean, modules, kind,
+                                                      monkeypatch):
+    space = CocycleSpace(borromean, modules[kind])
+    h1_report(borromean, modules[kind], mode="per_subgroup", space=space)
+    calls = []
+    real = cohomology.echelon
+    monkeypatch.setattr(cohomology, "echelon",
+                        lambda m: calls.append(m.shape) or real(m))
+    got = [space.cuspidal_defect(c) for c in space.z1_basis]
+    assert calls == []
+    monkeypatch.undo()
+    fresh = CocycleSpace(borromean, modules[kind])
+    assert got == [fresh.cuspidal_defect(c) for c in space.z1_basis]
