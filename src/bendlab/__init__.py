@@ -12,7 +12,7 @@ from .complexes import (Angle, BendingComplex, Binding, Incidence,
                         bending_dimension, build_system)
 from .linalg import (FloatMatrix, RationalMatrix, in_column_space, nullspace,
                      rank_of_vectors, rref_rank)
-from .modules import CoefficientModule, SplitResult, split_components
+from .modules import CoefficientModule
 from .reps import (FirstOrderRep, QuadraticForm, Representation,
                    first_order_evaluate, is_parabolic, validate_representation)
 from .words import (GroupRingElem, Presentation, Word, WordError, fox_derivative,
@@ -24,13 +24,13 @@ __all__ = [
     "Angle", "BendingComplex", "BendingDatum", "Binding",
     "CentralizerError", "CocycleSpace", "CoefficientModule", "CohomologyReport",
     "FirstOrderRep", "FloatMatrix", "GroupRingElem", "Incidence", "Presentation",
-    "QuadraticForm", "RationalMatrix", "Representation", "SplitResult",
-    "Word", "WordError", "bending_dimension", "build_system",
+    "QuadraticForm", "RationalMatrix", "Representation", "Word", "WordError",
+    "bending_dimension", "build_system",
     "centralizer_generator", "char_poly", "class_span_dim", "cocycle_eval",
     "default_parabolic_words", "first_order_evaluate", "fox_derivative",
     "h1_report", "hnn_first_order", "in_column_space", "is_cuspidal",
     "is_parabolic", "match_up_to_column_signs_and_scale", "nullspace",
     "parse_word", "peripheral_invariant_dims", "rank_of_vectors", "rref_rank",
-    "scannell_check", "split_components", "tangent_cocycle",
-    "trace_derivative_matrix", "validate_representation",
+    "scannell_check", "tangent_cocycle", "trace_derivative_matrix",
+    "validate_representation",
 ]

@@ -141,7 +141,7 @@ def check_borromean_complex(ctx: SuiteContext):
                          "rank": rank})]
 
 
-def check_roots_of_unity(ctx: SuiteContext, tolerance=1e-9):
+def check_roots_of_unity(ctx: SuiteContext):
     """Criterion 7: equal weights solve single k-valent bindings, k = 3..12."""
     import math
     failures = []
@@ -154,7 +154,7 @@ def check_roots_of_unity(ctx: SuiteContext, tolerance=1e-9):
         binding = Binding("b", tuple(Incidence(walls[j], angles[j])
                                      for j in range(k)))
         cx = BendingComplex(3, walls, (binding,))
-        rep = bending_dimension(cx, "so", tolerance)
+        rep = bending_dimension(cx, "so")
         if not rep.equal_weights_solve:
             failures.append(k)
     return [CheckResult("7", "equal weights at k-th roots of unity, k=3..12",
@@ -295,9 +295,9 @@ def _random_word(rng: random.Random, gens, max_len: int) -> Word:
     return Word(letters)
 
 
-def suite_fox_identity(ctx: SuiteContext, cases: int, seed: int = 101):
+def suite_fox_identity(ctx: SuiteContext, cases: int):
     """Sum_i d(w)/d(x_i) (x_i - 1) = w - 1 in the group ring."""
-    rng = random.Random(seed)
+    rng = random.Random(101)
     gens = list(ctx.bundle.presentation.generators)
     words = list(ctx.bundle.presentation.relators)
     words += [_random_word(rng, gens, 30) for _ in range(cases)]
@@ -314,9 +314,9 @@ def suite_fox_identity(ctx: SuiteContext, cases: int, seed: int = 101):
                        bad == 0, 0, bad)
 
 
-def suite_coboundary_identity(ctx: SuiteContext, cases: int, seed: int = 102):
+def suite_coboundary_identity(ctx: SuiteContext, cases: int):
     """Coboundaries extend as c(w) = (I - w).alpha for every word."""
-    rng = random.Random(seed)
+    rng = random.Random(102)
     space = ctx.space("standard")
     module = ctx.module("standard")
     gens = list(ctx.bundle.presentation.generators)
@@ -334,8 +334,8 @@ def suite_coboundary_identity(ctx: SuiteContext, cases: int, seed: int = 102):
                        bad == 0, 0, bad)
 
 
-def suite_rank_nullity(ctx: SuiteContext, cases: int, seed: int = 103):
-    rng = random.Random(seed)
+def suite_rank_nullity(ctx: SuiteContext, cases: int):
+    rng = random.Random(103)
     bad = 0
     for _ in range(cases):
         rows = rng.randint(0, 6)
@@ -348,10 +348,10 @@ def suite_rank_nullity(ctx: SuiteContext, cases: int, seed: int = 103):
     return CheckResult("13", f"rank-nullity ({cases} cases)", bad == 0, 0, bad)
 
 
-def suite_relator_derivatives(ctx: SuiteContext, cases: int, seed: int = 104):
+def suite_relator_derivatives(ctx: SuiteContext, cases: int):
     """First-order relator derivatives vanish for all six bendings, including
     on random normal-closure elements."""
-    rng = random.Random(seed)
+    rng = random.Random(104)
     pres = ctx.bundle.presentation
     gens = list(pres.generators)
     fos = _bend(ctx.bundle.representation, ctx.bundle.pants)
@@ -394,11 +394,11 @@ def _conjugator_pool(rep):
     return pool
 
 
-def suite_conjugation_invariance(ctx: SuiteContext, cases: int, seed: int = 105):
+def suite_conjugation_invariance(ctx: SuiteContext, cases: int):
     """All report dimensions are unchanged under conjugating the representation
     by random exact form-preserving matrices. Cases cycle through the three
     coefficient module kinds."""
-    rng = random.Random(seed)
+    rng = random.Random(105)
     rep = ctx.bundle.representation
     pres = ctx.bundle.presentation
     pool = _conjugator_pool(rep)

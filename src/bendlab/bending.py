@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RationalMatrix, nullspace
-from .modules import (CoefficientModule, _as_columns, adjoint_basis, nu_basis,
-                      split_components)
+from .modules import CoefficientModule, _as_columns, adjoint_basis, nu_basis
 from .reps import FirstOrderRep, QuadraticForm, Representation, first_order_evaluate
 from .words import Presentation, Word, parse_word
 
@@ -177,30 +176,38 @@ def hnn_first_order(rep: Representation, datum: BendingDatum,
 
 def tangent_cocycle(fo: FirstOrderRep, module: CoefficientModule) -> tuple[Fraction, ...]:
     """Generator values of the deformation cocycle c(g) = E(g) M(g)^-1,
-    projected to the module's complement coordinates and stacked.
+    read in the module's coordinates and stacked.
 
-    The module kind picks the geometry by ``MODULE_KIND``: "nu" for sl
-    (base size n+1), "standard" for so_ext (base size n+2). The result is
+    The module kind picks the geometry by ``MODULE_KIND``, and the base's
+    form is Q for sl and Q + (1) for so_ext. "nu" for sl (base size n+1):
+    sl(n+1) = so(Q) + nu, and c(g) is read as the nu coordinates of its
+    Q-self-adjoint half (c + Q^-1 c^T Q) / 2; a c with nonzero trace has no
+    coordinates there and raises ValueError. "standard" for so_ext (base
+    size n+2): c(g) must lie in so(Q + 1) = so(Q) + R^{n,1}, and its R^{n,1}
+    part is the first n+1 entries of its last column. The result is
     checked to vanish on every relator of the presentation.
     """
     rep = module.rep
-    ambient = next((g for g, kind in MODULE_KIND.items() if kind == module.kind), None)
-    if ambient is None:
+    geometry = next((g for g, kind in MODULE_KIND.items() if kind == module.kind), None)
+    if geometry is None:
         raise ValueError(f"no tangent cocycles in module kind {module.kind!r}")
-    if fo.base.size != rep.size + (ambient == "so_ext"):
-        raise ValueError(f"{module.kind} coefficients need an {ambient}-geometry "
+    if fo.base.size != rep.size + (geometry == "so_ext"):
+        raise ValueError(f"{module.kind} coefficients need an {geometry}-geometry "
                          "first-order rep")
+    form, n1 = fo.base.form, rep.size
     coords: list[Fraction] = []
     for g in rep.presentation.generators:
         if fo.derivative[g].is_zero():  # a constant generator: c(g) = 0
             coords.extend([Fraction(0)] * module.dimension)
             continue
         c = fo.derivative[g] * fo.base.image(g, -1)
-        split = split_components(c, rep.form, ambient)
-        if ambient == "sl":
-            coords.extend(module.to_coordinates(split.complement_part))
-        else:
-            coords.extend(split.complement_part)
+        if geometry == "sl":
+            c_adj = form.inverse * c.transpose() * form.matrix
+            coords.extend(module.to_coordinates((c + c_adj).scale(Fraction(1, 2))))
+            continue
+        if not (c.transpose() * form.matrix + form.matrix * c).is_zero():
+            raise ValueError("tangent vector is not in so(Q + 1)")
+        coords.extend(c[i, n1] for i in range(n1))
     if any(any(module.cocycle_value(coords, r)) for r in rep.presentation.relators):
         raise ValueError("bending data does not define a first-order deformation "
                          "(tangent vector fails the cocycle condition)")

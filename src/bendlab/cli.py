@@ -151,7 +151,7 @@ def cmd_bend(args) -> int:
         entries.append(entry)
     doc = {"geometry": args.geometry, "coefficients": kind, "pants": entries,
            "class_span": class_span_dim(space, cocycles) if cocycles else 0}
-    if words:
+    if args.words:
         f = trace_derivative_matrix(bendings, words)
         doc["trace_derivative_matrix"] = f.to_json()
         doc["trace_matrix_rank"] = f.rank()

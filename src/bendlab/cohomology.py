@@ -179,12 +179,12 @@ class CohomologyReport:
 
 
 def h1_report(presentation: Presentation, module: CoefficientModule,
-              parabolic_words=None, mode: str = "none",
-              space: CocycleSpace | None = None) -> CohomologyReport:
+              mode: str = "none", space: CocycleSpace | None = None) -> CohomologyReport:
     """Compute all cohomology dimensions for the module.
 
-    ``mode="per_element"`` imposes c(w) in im(I - w) word by word (defaults to
-    meridians, longitudes, and their products over all cusps);
+    ``mode="per_element"`` imposes c(w) in im(I - w) word by word over
+    :func:`default_parabolic_words` (meridians, longitudes, and their
+    products over all cusps);
     ``mode="per_subgroup"`` shares one auxiliary vector per cusp pair.
     """
     if mode not in MODES:
@@ -197,9 +197,7 @@ def h1_report(presentation: Presentation, module: CoefficientModule,
         return report
 
     if mode == "per_element":
-        if parabolic_words is None:
-            parabolic_words = default_parabolic_words(presentation)
-        groups = [[w] for w in parabolic_words]
+        groups = [[w] for w in default_parabolic_words(presentation)]
     else:
         if not presentation.cusps:
             raise ValueError("per_subgroup mode needs cusp data")

@@ -1,4 +1,4 @@
-"""Coefficient modules for twisted cohomology and the Ad-invariant splitting.
+"""Coefficient modules for twisted cohomology.
 
 Three module kinds over a representation preserving a form Q:
 
@@ -11,12 +11,11 @@ Three module kinds over a representation preserving a form Q:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .linalg import RationalMatrix, _common, in_column_space, rref_rank
-from .reps import QuadraticForm, Representation, WordEvaluator, _with_unit
+from .reps import QuadraticForm, Representation, WordEvaluator
 from .words import Word
 
 KINDS = ("standard", "nu", "adjoint")
@@ -86,6 +85,7 @@ class CoefficientModule:
         if kind == "standard":
             self.basis = []
             self.dimension = n + 1
+            self._columns = RationalMatrix.identity(n + 1)
             self.evaluator = rep.evaluator
         else:
             self.basis = nu_basis(rep.form) if kind == "nu" else adjoint_basis(rep.form)
@@ -109,14 +109,12 @@ class CoefficientModule:
         return red.submatrix(range(d), range(d, 2 * d))
 
     def to_coordinates(self, m: RationalMatrix) -> tuple[Fraction, ...]:
+        """Coordinates of m in the module basis, read row-major: a matrix of
+        the basis's size for nu and adjoint, n+1 entries for standard."""
         coords = in_column_space(self._columns, m.reshape(1, m.rows * m.cols).row(0))
         if coords is None:
             raise ValueError("matrix is not in the module subspace")
         return coords
-
-    def from_coordinates(self, coords) -> RationalMatrix:
-        n = self.rep.size
-        return (self._columns * RationalMatrix.column(coords)).reshape(n, n)
 
     def action(self, e) -> RationalMatrix:
         """Action matrix of a Word; linear extension over GroupRingElems."""
@@ -157,39 +155,3 @@ class CoefficientModule:
     def invariants_dim(self, ws) -> int:
         """Dimension of the joint fixed space of the listed words."""
         return self.dimension - self.coboundary_map(ws).rank()
-
-
-@dataclass
-class SplitResult:
-    so_part: RationalMatrix
-    complement_part: RationalMatrix | tuple[Fraction, ...]
-
-
-def split_components(x: RationalMatrix, form: QuadraticForm, ambient: str) -> SplitResult:
-    """Split along so(Q) (+) complement.
-
-    ``ambient="sl"``: x is (n+1)x(n+1) traceless; so part (x - Q^-1 x^T Q)/2,
-    complement (x + Q^-1 x^T Q)/2 (Q-self-adjoint).
-
-    ``ambient="so_ext"``: x is (n+2)x(n+2) in so(Q + 1); so part is the
-    top-left block, complement is the first n+1 entries of the last column.
-    """
-    if ambient == "sl":
-        if x.shape != (form.size, form.size):
-            raise ValueError(f"expected {form.size}x{form.size} input")
-        if x.trace() != 0:
-            raise ValueError("sl ambient requires a traceless matrix")
-        sigma = form.inverse * x.transpose() * form.matrix
-        half = Fraction(1, 2)
-        return SplitResult((x - sigma).scale(half), (x + sigma).scale(half))
-    if ambient == "so_ext":
-        big = _with_unit(form.matrix)
-        if x.shape != big.shape:
-            raise ValueError(f"expected {big.rows}x{big.cols} input")
-        if not (x.transpose() * big + big * x).is_zero():
-            raise ValueError("input is not in so(Q + 1)")
-        n1 = form.size
-        so_part = x.submatrix(range(n1), range(n1))
-        complement = tuple(x[i, n1] for i in range(n1))
-        return SplitResult(so_part, complement)
-    raise ValueError(f"unknown ambient {ambient!r}")

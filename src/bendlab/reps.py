@@ -39,10 +39,6 @@ class QuadraticForm:
     def inverse(self) -> RationalMatrix:
         return self._inverse
 
-    def extend_by_one(self) -> "QuadraticForm":
-        """The form on one extra dimension: Q + (1)."""
-        return QuadraticForm(_with_unit(self.matrix))
-
     def preserved_by(self, m: RationalMatrix) -> bool:
         return m.transpose() * self.matrix * m == self.matrix
 
@@ -131,8 +127,8 @@ class Representation:
         wall of this representation bends the same embedding."""
         if self._embedded is None:
             images = {g: _with_unit(m) for g, m in self.images.items()}
-            self._embedded = Representation(self.presentation, images,
-                                            self.form.extend_by_one())
+            form = QuadraticForm(_with_unit(self.form.matrix))
+            self._embedded = Representation(self.presentation, images, form)
         return self._embedded
 
     @classmethod

@@ -45,7 +45,7 @@ def test_criterion_06_borromean_complex(ctx):
 
 
 def test_criterion_07_roots_of_unity(ctx):
-    report(acceptance.check_roots_of_unity(ctx, tolerance=1e-9))
+    report(acceptance.check_roots_of_unity(ctx))
 
 
 def test_criterion_08_pythagorean_ranks(ctx):

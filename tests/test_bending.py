@@ -12,7 +12,7 @@ from bendlab.bending import (BendingDatum, CentralizerError, _commutator_map,
 from bendlab.cohomology import class_span_dim, is_cuspidal
 from bendlab.fixtures import PANTS_TRACE, load_pants
 from bendlab.linalg import RationalMatrix, rref_rank
-from bendlab.reps import _with_unit, first_order_evaluate
+from bendlab.reps import FirstOrderRep, _with_unit, first_order_evaluate
 from bendlab.words import Word
 
 
@@ -200,6 +200,60 @@ def test_zero_generator_gives_zero_cocycle(bundle, modules):
     fo = hnn_first_order(bundle.representation, datum, RationalMatrix.zeros(4, 4))
     c = tangent_cocycle(fo, modules["nu"])
     assert all(x == 0 for x in c)
+
+
+def conjugation_derivative(base, x):
+    """The first-order rep of g -> (I + tX) M_g (I - tX): E_g = X M_g - M_g X,
+    so c(g) = X - M_g X M_g^-1."""
+    return FirstOrderRep(base, {g: x * m - m * x for g, m in base.images.items()})
+
+
+def seeded_matrix(rng, n):
+    return RationalMatrix(n, n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                 for _ in range(n * n)])
+
+
+def test_nu_cocycle_of_a_conjugation_is_the_coboundary_of_its_nu_half(rho, modules,
+                                                                     spaces):
+    # sl(4) = so(Q) + nu: only the Q-self-adjoint half of X is read, and an
+    # X in so(Q) bends nothing
+    q, nu = rho.form, modules["nu"]
+    rng = random.Random(61)
+    for _ in range(20):
+        x = seeded_matrix(rng, 4)
+        x = x - RationalMatrix.identity(4).scale(x.trace() / 4)
+        sym = q.inverse * x.transpose() * q.matrix
+        want = spaces["nu"].coboundary(nu.to_coordinates((x + sym).scale(Fraction(1, 2))))
+        assert tangent_cocycle(conjugation_derivative(rho, x), nu) == want
+        skew = x - sym
+        assert (skew.transpose() * q.matrix + q.matrix * skew).is_zero()
+        assert not any(tangent_cocycle(conjugation_derivative(rho, skew), nu))
+
+
+def test_standard_cocycle_of_a_conjugation_is_the_coboundary_of_its_last_column(
+        rho, modules, spaces):
+    # so(Q + 1) = so(Q) + R^{3,1}: X = (Q + 1)^-1 (A - A^T) has last column b
+    emb = rho.embedded_in_extension()
+    q5 = emb.form
+    rng = random.Random(62)
+    for _ in range(20):
+        a = seeded_matrix(rng, 5)
+        x = q5.inverse * (a - a.transpose())
+        assert (x.transpose() * q5.matrix + q5.matrix * x).is_zero()
+        b = [x[i, 4] for i in range(4)]
+        got = tangent_cocycle(conjugation_derivative(emb, x), modules["standard"])
+        assert got == spaces["standard"].coboundary(b)
+
+
+@pytest.mark.parametrize("kind,error", [("nu", "not in the module subspace"),
+                                        ("standard", r"not in so\(Q \+ 1\)")],
+                         ids=["nu", "standard"])
+def test_identity_tangent_vector_is_rejected(rho, modules, kind, error):
+    # c(x) = I: it has trace 4, so no nu coordinates, and it is not in so(Q + 1)
+    base = rho if kind == "nu" else rho.embedded_in_extension()
+    fo = FirstOrderRep(base, {"x": base.images["x"]})
+    with pytest.raises(ValueError, match=error):
+        tangent_cocycle(fo, modules[kind])
 
 
 def nu_cocycles(bundle, modules, sl_generators):

@@ -377,6 +377,17 @@ def test_bend_so_words_prints_the_zero_trace_matrix():
     assert doc["trace_matrix_rank"] == 0
 
 
+def test_bend_with_an_empty_words_file_keeps_the_trace_keys(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("")
+    done = run_child("bend", "--geometry", "sl", "--pants", str(DATA / "borromean_pants.json"),
+                     "--words", str(words))
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["trace_derivative_matrix"] == []
+    assert doc["trace_matrix_rank"] == 0
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
 def test_branched_system_rejects_non_finite_tolerance(fixture_files, monkeypatch, tol):
     monkeypatch.setenv("BENDLAB_FLOAT_TOL", tol)

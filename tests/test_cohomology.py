@@ -143,21 +143,21 @@ def test_default_parabolic_words(borromean):
     assert words[0] == mu and words[1] == lam and words[2] == mu * lam
 
 
-def test_per_element_without_product_words_is_weaker(borromean, modules, spaces):
+def test_per_element_without_product_words_is_weaker(borromean, spaces):
     # the fixture's cusps have orthogonal translation pairs, so conditions on
     # the meridian and longitude alone admit a strictly larger space
     words = [w for mu, lam in borromean.cusps for w in (mu, lam)]
-    report = h1_report(borromean, modules["standard"], parabolic_words=words,
-                       mode="per_element", space=spaces["standard"])
-    assert report.dim_pz1 == 6
+    assert spaces["standard"].parabolic_kernel_dim([[w] for w in words]) == 6
 
 
-def test_nonparabolic_word_warns(borromean, modules, spaces):
-    loxodromic = borromean.parse("x^-1 y")
-    report = h1_report(borromean, modules["standard"],
-                       parabolic_words=[loxodromic], mode="per_element",
-                       space=spaces["standard"])
-    assert report.warnings
+def test_nonparabolic_word_warns(borromean, rho):
+    # a loxodromic meridian on the first cusp: it and its product with the
+    # longitude are not parabolic
+    cusps = ((borromean.parse("x^-1 y"), borromean.cusps[0][1]),) + borromean.cusps[1:]
+    pres = Presentation(borromean.generators, borromean.relators, cusps)
+    module = CoefficientModule(Representation(pres, rho.images, rho.form), "standard")
+    report = h1_report(pres, module, mode="per_element")
+    assert len(report.warnings) == 2
 
 
 def test_redundant_relator_leaves_dimensions_unchanged(borromean, rho):
