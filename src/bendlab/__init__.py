@@ -1,8 +1,7 @@
 """Exact twisted group cohomology and branched-bending deformations for
 finitely presented matrix groups."""
 
-from .bending import (BendingDatum, CentralizerError,
-                      centralizer_generator, char_poly, hnn_first_order,
+from .bending import (BendingDatum, centralizer_generator, char_poly, hnn_first_order,
                       match_up_to_column_signs_and_scale, tangent_cocycle,
                       trace_derivative_matrix)
 from .cohomology import (CocycleSpace, CohomologyReport, class_span_dim,
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Angle", "BendingComplex", "BendingDatum", "Binding",
-    "CentralizerError", "CocycleSpace", "CoefficientModule", "CohomologyReport",
+    "CocycleSpace", "CoefficientModule", "CohomologyReport",
     "FirstOrderRep", "FloatMatrix", "GroupRingElem", "Incidence", "Presentation",
     "QuadraticForm", "RationalMatrix", "Representation", "Word", "WordError",
     "bending_dimension", "build_system",

@@ -17,12 +17,6 @@ MODULE_KIND = {"sl": "nu", "so_ext": "standard"}
 GEOMETRIES = tuple(MODULE_KIND)
 
 
-class CentralizerError(ValueError):
-    def __init__(self, found_dim: int):
-        self.found_dim = found_dim
-        super().__init__(f"centralizer dimension {found_dim} != 1")
-
-
 @dataclass(frozen=True)
 class BendingDatum:
     """A wall subgroup (generators of its pi_1), the HNN stable letter (one
@@ -123,7 +117,7 @@ def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> RationalMatri
         *(_commutator_map(m) * columns for m in walls))
     kernel = nullspace(system)
     if len(kernel) != 1:
-        raise CentralizerError(len(kernel))
+        raise ValueError(f"centralizer dimension {len(kernel)} != 1")
     x0 = (columns * RationalMatrix.column(kernel[0])).reshape(size, size)
     t2 = (x0 * x0).trace()
     if geometry == "sl":

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (RationalMatrix, echelon, in_column_space, nullspace,
-                     rank_of_vectors, rref_rank)
+from .linalg import RationalMatrix, echelon
 from .modules import CoefficientModule
 from .reps import is_parabolic
 from .words import Presentation, Word
@@ -30,8 +29,9 @@ MODES = ("none", "per_element", "per_subgroup")
 
 
 class CocycleSpace:
-    """Fox Jacobian of a presentation with module coefficients, plus exact
-    bases of the cocycle and coboundary spaces."""
+    """The Fox Jacobian J of a presentation with module coefficients, whose
+    kernel is Z^1, and the coboundary map delta, whose columns span B^1.
+    Every dimension is an echelon rank of one of the two."""
 
     def __init__(self, presentation: Presentation, module: CoefficientModule):
         self.presentation = presentation
@@ -40,14 +40,11 @@ class CocycleSpace:
         self.g = len(presentation.generators)
         self.jacobian = RationalMatrix.zeros(0, self.g * self.d).vstack(
             *(self.word_row(r) for r in presentation.relators))
-        self.z1_basis = nullspace(self.jacobian)
-        self._coboundary_map = module.coboundary_map(
+        self.coboundary_map = module.coboundary_map(
             [Word.generator(g) for g in presentation.generators])
-        red, rank, pivots = rref_rank(self._coboundary_map)
-        self.b1_basis = [self._coboundary_map.col(p) for p in pivots]
-        self.dim_z1 = len(self.z1_basis)
-        self.dim_b1 = rank
-        self.dim_h0 = self.d - rank
+        self.dim_z1 = self.jacobian.cols - self.jacobian.rank()
+        self.dim_b1 = self.coboundary_map.rank()
+        self.dim_h0 = self.d - self.dim_b1
         self.dim_h1 = self.dim_z1 - self.dim_b1
         self._conditions = {}  # tuple(group) -> its coboundary conditions
 
@@ -72,11 +69,7 @@ class CocycleSpace:
         return RationalMatrix.zeros(d, 0).hstack(*blocks.values())
 
     def coboundary(self, alpha) -> tuple[Fraction, ...]:
-        return self._coboundary_map.matvec(alpha)
-
-    def coboundary_preimage(self, c) -> tuple[Fraction, ...] | None:
-        """Some alpha with coboundary(alpha) = c, or None if c is not in B^1."""
-        return in_column_space(self._coboundary_map, list(c))
+        return self.coboundary_map.matvec(alpha)
 
     def is_cocycle(self, c) -> bool:
         return all(v == 0 for v in self.jacobian.matvec(c))
@@ -128,14 +121,16 @@ def cocycle_eval(space: CocycleSpace, c, w: Word) -> tuple[Fraction, ...]:
 
 
 def class_span_dim(space: CocycleSpace, cocycles) -> int:
-    """Dimension of the span in H^1 of the listed cocycles' classes."""
-    vecs = []
+    """Dimension of the span in H^1 of the listed cocycles' classes: the rank
+    of delta's columns, which span B^1, with the cocycles beside them, less
+    dim B^1."""
+    columns = []
     for c in cocycles:
         c = list(c)
         if not space.is_cocycle(c):
             raise ValueError("vector is not a cocycle (fails the Fox-Jacobian kernel)")
-        vecs.append(c)
-    return rank_of_vectors(space.b1_basis + vecs) - space.dim_b1
+        columns.append(RationalMatrix.column(c))
+    return space.coboundary_map.hstack(*columns).rank() - space.dim_b1
 
 
 def is_cuspidal(space: CocycleSpace, c) -> bool:

@@ -96,11 +96,6 @@ class Angle:
             return {"cos": str(self.cos), "sin": str(self.sin)}
         return {"cos": self.cos, "sin": self.sin}
 
-    def double(self) -> tuple:
-        """cos(2 theta), sin(2 theta), exact when the angle is."""
-        return (self.cos * self.cos - self.sin * self.sin,
-                2 * self.cos * self.sin)
-
     @property
     def is_zero(self) -> bool:
         return self.cos == 1 and self.sin == 0

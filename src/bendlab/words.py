@@ -151,9 +151,6 @@ class GroupRingElem:
     def scale(self, k: int) -> "GroupRingElem":
         return GroupRingElem({w: k * c for w, c in self.terms.items()})
 
-    def left_mul_word(self, u: Word) -> "GroupRingElem":
-        return GroupRingElem({u * w: c for w, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupRingElem) and self.terms == other.terms
 

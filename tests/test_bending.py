@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bendlab.acceptance import _bend, _conjugator_pool
-from bendlab.bending import (BendingDatum, CentralizerError, _commutator_map,
+from bendlab.bending import (BendingDatum, _commutator_map,
                              centralizer_generator, char_poly, hnn_first_order,
                              match_up_to_column_signs_and_scale, tangent_cocycle,
                              trace_derivative_matrix, wall_centralizer)
@@ -112,17 +112,15 @@ def test_wall_centralizer_takes_matrices_and_a_form(bundle, geometry):
 def test_empty_subgroup_overcounts(bundle):
     # the whole ambient algebra sl(4)
     datum = BendingDatum("none", (), Word.generator("x"), "sl")
-    with pytest.raises(CentralizerError) as err:
+    with pytest.raises(ValueError, match="centralizer dimension 15 != 1"):
         centralizer_generator(bundle.representation, datum)
-    assert err.value.found_dim == 15
 
 
 def test_empty_subgroup_overcounts_so_ext(bundle):
     # the whole ambient algebra so(Q + 1), of dimension 10
     datum = BendingDatum("none", (), Word.generator("x"), "so_ext")
-    with pytest.raises(CentralizerError) as err:
+    with pytest.raises(ValueError, match="centralizer dimension 10 != 1"):
         centralizer_generator(bundle.representation, datum)
-    assert err.value.found_dim == 10
 
 
 @pytest.mark.parametrize("geometry", ["sl", "so_ext"])
@@ -144,9 +142,8 @@ def test_centralizers_follow_conjugation(bundle, geometry, path):
 def test_full_group_has_no_centralizer(bundle, borromean):
     datum = BendingDatum("all", tuple(Word.generator(g) for g in borromean.generators),
                          Word.generator("x"), "sl")
-    with pytest.raises(CentralizerError) as err:
+    with pytest.raises(ValueError, match="centralizer dimension 0 != 1"):
         centralizer_generator(bundle.representation, datum)
-    assert err.value.found_dim == 0
 
 
 def test_stable_letter_must_be_generator(bundle, sl_generators):

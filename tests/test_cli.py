@@ -238,9 +238,9 @@ def test_deterministic_output(capsys):
     assert json.dumps(doc1) == json.dumps(doc2)
 
 
-def run_child(*argv, timeout=60, cwd=None):
+def run_child(*argv, timeout=60, cwd=None, module="bendlab.cli"):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    return subprocess.run([sys.executable, "-m", "bendlab.cli", *argv], timeout=timeout,
+    return subprocess.run([sys.executable, "-m", module, *argv], timeout=timeout,
                           cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
 
@@ -522,3 +522,9 @@ def test_bundled_inputs_are_found_outside_the_checkout(tmp_path, argv):
     done = run_child(*argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_python_dash_m_bendlab_is_the_cli(tmp_path):
+    package = run_child("validate", cwd=tmp_path, module="bendlab")
+    assert package.returncode == 0, package.stderr
+    assert package.stdout == run_child("validate", cwd=tmp_path).stdout

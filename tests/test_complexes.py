@@ -15,6 +15,12 @@ PYTH = [("1", "0"), ("3/5", "4/5"), ("-4/5", "3/5"), ("-3/5", "-4/5"),
         ("8/17", "15/17")]
 
 
+def double_angle(angle):
+    """(cos 2theta, sin 2theta) from the angle's own (cos, sin) pair."""
+    c, s = angle.cos, angle.sin
+    return (c * c - s * s, 2 * c * s)
+
+
 def single_binding(pairs, signs=None):
     walls = tuple(f"v{i}" for i in range(len(pairs)))
     signs = signs or [1] * len(pairs)
@@ -31,7 +37,7 @@ def test_angle_names_and_pairs():
     with pytest.raises(ValueError):
         Angle.exact_pair(Fraction(1, 2), Fraction(1, 2))
     good = Angle.exact_pair(Fraction(3, 5), Fraction(4, 5))
-    assert good.double() == (Fraction(-7, 25), Fraction(24, 25))
+    assert double_angle(good) == (Fraction(-7, 25), Fraction(24, 25))
 
 
 def test_angle_json_roundtrip():
@@ -130,7 +136,7 @@ def test_pythagorean_nullities(k):
 
 def test_sl_row_identity_and_sign_use():
     angles = [Angle.exact_pair(Fraction(c), Fraction(s)) for c, s in PYTH[:5]]
-    doubled = [a.double() for a in angles]
+    doubled = [double_angle(a) for a in angles]
     cx = single_binding(angles)
     system = build_system(cx, "sl")
     # per incidence: s, s cos 2theta and s sin 2theta
@@ -196,7 +202,7 @@ def fraction_system(cx, geometry, exact=True):
             if geometry == "so":
                 coeffs = (inc.angle.cos, inc.angle.sin)
             else:
-                c2, s2 = inc.angle.double()
+                c2, s2 = double_angle(inc.angle)
                 coeffs = (inc.sign, inc.sign * c2, inc.sign * s2)
             for row, x in zip(block, coeffs):
                 row[idx[inc.wall]] += x
@@ -215,7 +221,7 @@ def paper_sl_blocks(cx):
     for binding in cx.bindings:
         block = [[Fraction(0)] * len(cx.walls) for _ in range(3)]
         for inc in binding.incidences:
-            c2, s2 = inc.angle.double()
+            c2, s2 = double_angle(inc.angle)
             coeffs = (inc.sign * (a + b * c2), inc.sign * (a - b * c2),
                       inc.sign * (b * s2))
             for row, x in zip(block, coeffs):

@@ -12,6 +12,9 @@ for jointly with c. The cuspidal test is compared with solving
 (I - mu; I - lambda) alpha = (c(mu); c(lambda)) directly, with the values
 from the cocycle walk.
 
+The dimensions that ``CocycleSpace`` counts by echelon ranks are compared
+with the Gauss-Jordan kernels of the Fox Jacobian and the coboundary map.
+
 The float backend is compared with the exact one: on seeded complexes at
 Pythagorean angles, the tolerance-based rank of the float twin (the same
 complex with each exact (cos, sin) pair written as floats) must equal the
@@ -23,7 +26,8 @@ from fractions import Fraction
 
 import pytest
 
-from bendlab.cohomology import CocycleSpace, cocycle_eval, default_parabolic_words
+from bendlab.cohomology import (CocycleSpace, class_span_dim, cocycle_eval,
+                                default_parabolic_words)
 from bendlab.complexes import Angle, BendingComplex, Binding, Incidence, build_system
 from bendlab.linalg import (FloatMatrix, RationalMatrix, in_column_space, nullspace,
                             rank_of_vectors, rref_rank)
@@ -90,7 +94,8 @@ def restricted_parabolic_dim(space, word_groups):
     if not rows:
         return space.dim_z1
     cond = RationalMatrix.from_rows(rows)
-    return space.dim_z1 - rank_of_vectors([cond.matvec(z) for z in space.z1_basis])
+    z1 = nullspace(space.jacobian)
+    return space.dim_z1 - rank_of_vectors([cond.matvec(z) for z in z1])
 
 
 def auxiliary_parabolic_dim(space, word_groups):
@@ -151,6 +156,18 @@ def word_group_cases(borromean):
             "none": []}
 
 
+@pytest.mark.parametrize("seed", [None, 39, 40], ids=["fixture", "conj39", "conj40"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_counted_dimensions_match_gauss_jordan_kernels(kind, seed, spaces, rho,
+                                                       borromean):
+    # the space counts dim Z^1 and dim B^1 by echelon ranks; the RREF kernels
+    # of J and delta, and the class span of delta's columns, recount them
+    space = spaces[kind] if seed is None else conjugated_space(rho, borromean, kind, seed)
+    assert space.dim_z1 == len(nullspace(space.jacobian))
+    assert space.dim_h0 == len(nullspace(space.coboundary_map))
+    assert class_span_dim(space, space.coboundary_map.transpose().to_rows()) == 0
+
+
 @pytest.mark.parametrize("conjugated", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
 def test_parabolic_kernel_dim_matches_other_formulations(kind, conjugated, spaces,
@@ -176,11 +193,12 @@ def test_cuspidal_defect_matches_the_walked_solve(kind, conjugated, spaces, rho,
     noise = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(space.g * space.d)] for _ in range(4)]
     outcomes = []
-    for c in list(space.b1_basis) + list(space.z1_basis) + noise:
+    b1 = space.coboundary_map.transpose().to_rows()
+    for c in b1 + nullspace(space.jacobian) + noise:
         got = space.cuspidal_defect(c)
         assert got == walked_cuspidal_defect(space, c), c
         outcomes.extend(got)
-    assert all(all(space.cuspidal_defect(b)) for b in space.b1_basis)
+    assert all(all(space.cuspidal_defect(b)) for b in b1)
     assert True in outcomes and False in outcomes
 
 

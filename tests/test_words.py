@@ -199,7 +199,7 @@ def test_fox_inverse_formula_randomized():
         word = rand_word(rng, 20)
         for g in GENS:
             lhs = fox_derivative(word.inverse(), g)
-            rhs = -(fox_derivative(word, g).left_mul_word(word.inverse()))
+            rhs = -(GroupRingElem.from_word(word.inverse()) * fox_derivative(word, g))
             assert lhs == rhs
 
 
