@@ -1,7 +1,7 @@
 """Exact twisted group cohomology and branched-bending deformations for
 finitely presented matrix groups."""
 
-from .bending import (BendingDatum, centralizer_generator, char_poly, hnn_first_order,
+from .bending import (BendingDatum, centralizer_generator, hnn_first_order,
                       match_up_to_column_signs_and_scale, tangent_cocycle,
                       trace_derivative_matrix)
 from .cohomology import (CocycleSpace, CohomologyReport, class_span_dim,
@@ -25,7 +25,7 @@ __all__ = [
     "FirstOrderRep", "FloatMatrix", "GroupRingElem", "Incidence", "Presentation",
     "QuadraticForm", "RationalMatrix", "Representation", "Word", "WordError",
     "bending_dimension", "build_system",
-    "centralizer_generator", "char_poly", "class_span_dim", "cocycle_eval",
+    "centralizer_generator", "class_span_dim", "cocycle_eval",
     "default_parabolic_words", "first_order_evaluate", "fox_derivative",
     "h1_report", "hnn_first_order", "in_column_space", "is_cuspidal",
     "is_parabolic", "match_up_to_column_signs_and_scale", "nullspace",

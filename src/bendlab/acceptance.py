@@ -8,6 +8,7 @@ property suites use fixed seeds, so output is deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -143,13 +144,13 @@ def check_borromean_complex(ctx: SuiteContext):
 
 def check_roots_of_unity(ctx: SuiteContext):
     """Criterion 7: equal weights solve single k-valent bindings, k = 3..12."""
-    import math
     failures = []
     for k in range(3, 13):
         if k == 4:
             angles = [Angle.named(n) for n in ("0", "pi/2", "pi", "3pi/2")]
         else:
-            angles = [Angle.from_radians(2 * math.pi * j / k) for j in range(k)]
+            angles = [Angle.float_pair(math.cos(t), math.sin(t))
+                      for t in (2 * math.pi * j / k for j in range(k))]
         walls = tuple(f"v{j}" for j in range(k))
         binding = Binding("b", tuple(Incidence(walls[j], angles[j])
                                      for j in range(k)))
@@ -379,7 +380,9 @@ def suite_relator_derivatives(ctx: SuiteContext, cases: int):
 
 
 def _conjugator_pool(rep):
-    """Exact form-preserving matrices for conjugation tests."""
+    """Exact matrices preserving ``rep``'s form, for conjugation tests: the
+    generator images and three inverses, plus the reflection, swap and boost
+    of diag(-1, 1, 1, 1) wherever the form admits them."""
     pool = [rep.images[g] for g in rep.presentation.generators]
     pool += [m.inverse() for m in pool[:3]]
     flip = RationalMatrix.from_rows([[1, 0, 0, 0], [0, -1, 0, 0],
@@ -390,8 +393,7 @@ def _conjugator_pool(rep):
         [Fraction(5, 3), Fraction(4, 3), 0, 0],
         [Fraction(4, 3), Fraction(5, 3), 0, 0],
         [0, 0, 1, 0], [0, 0, 0, 1]])
-    pool += [flip, perm, boost]
-    return pool
+    return pool + [m for m in (flip, perm, boost) if rep.form.preserved_by(m)]
 
 
 def suite_conjugation_invariance(ctx: SuiteContext, cases: int):
@@ -411,7 +413,7 @@ def suite_conjugation_invariance(ctx: SuiteContext, cases: int):
     bad = 0
     for i in range(cases):
         kind = kinds[i % 3]
-        u = RationalMatrix.identity(4)
+        u = RationalMatrix.identity(rep.size)
         for _ in range(rng.randint(1, 2)):
             u = u * rng.choice(pool)
         conj = rep.conjugated(u)

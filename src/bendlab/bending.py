@@ -53,22 +53,6 @@ class BendingDatum:
         return rep if self.geometry == "sl" else rep.embedded_in_extension()
 
 
-def char_poly(m: RationalMatrix) -> list[Fraction]:
-    """Characteristic polynomial coefficients [1, c1, ..., ck] of det(xI - m),
-    by the Faddeev-LeVerrier recursion (exact)."""
-    if not m.is_square():
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    k = m.rows
-    coeffs = [Fraction(1)]
-    ident = RationalMatrix.identity(k)
-    n_mat = m
-    for i in range(1, k + 1):
-        if i > 1:
-            n_mat = m * (n_mat + ident.scale(coeffs[-1]))
-        coeffs.append(-(n_mat.trace()) / i)
-    return coeffs
-
-
 def sqrt_fraction(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if q < 0:

@@ -64,11 +64,6 @@ class Angle:
         return cls(c, s, True)
 
     @classmethod
-    def from_radians(cls, theta: float) -> "Angle":
-        c, s = math.cos(theta), math.sin(theta)
-        return cls(c, s, False)
-
-    @classmethod
     def float_pair(cls, cos: float, sin: float) -> "Angle":
         if not abs(cos * cos + sin * sin - 1.0) <= FLOAT_CIRCLE_TOL:  # and nan
             raise ValueError(f"cos^2 + sin^2 != 1 within {FLOAT_CIRCLE_TOL}")

@@ -77,10 +77,9 @@ def load_presentation(path=None) -> Presentation:
     return _load(path, "presentation", Presentation.from_json)
 
 
-def load_representation(presentation: Presentation | None = None,
-                        path=None) -> Representation:
-    pres = load_presentation() if presentation is None else presentation
-    return _load(path, "representation", lambda doc: Representation.from_json(doc, pres))
+def load_representation(presentation: Presentation, path=None) -> Representation:
+    return _load(path, "representation",
+                 lambda doc: Representation.from_json(doc, presentation))
 
 
 def load_pants(presentation: Presentation, geometry: str = "sl",

@@ -409,12 +409,6 @@ class FloatMatrix:
         self.entries = entries
         self.rank_tolerance = rank_tolerance
 
-    @classmethod
-    def from_rows(cls, data, rank_tolerance=DEFAULT_FLOAT_TOLERANCE):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, [x for r in data for x in r], rank_tolerance)
-
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 

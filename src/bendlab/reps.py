@@ -19,7 +19,7 @@ def _with_unit(m: RationalMatrix) -> RationalMatrix:
 class QuadraticForm:
     """Symmetric invertible form matrix."""
 
-    __slots__ = ("matrix", "_inverse")
+    __slots__ = ("matrix", "inverse")
 
     def __init__(self, matrix: RationalMatrix):
         if not matrix.is_square():
@@ -29,18 +29,15 @@ class QuadraticForm:
         if matrix != matrix.transpose():
             raise ValueError("form matrix must be symmetric")
         self.matrix = matrix
-        self._inverse = matrix.inverse()  # raises if singular
+        self.inverse = matrix.inverse()  # raises if singular
 
     @property
     def size(self) -> int:
         return self.matrix.rows
 
-    @property
-    def inverse(self) -> RationalMatrix:
-        return self._inverse
-
     def preserved_by(self, m: RationalMatrix) -> bool:
-        return m.transpose() * self.matrix * m == self.matrix
+        return (m.shape == self.matrix.shape
+                and m.transpose() * self.matrix * m == self.matrix)
 
     @classmethod
     def from_json(cls, data) -> "QuadraticForm":
@@ -116,7 +113,10 @@ class Representation:
         return self.evaluator(e)
 
     def conjugated(self, u: RationalMatrix) -> "Representation":
-        """The representation g -> u rho(g) u^-1 (u must preserve the form)."""
+        """The representation g -> u rho(g) u^-1; raises ValueError unless u
+        preserves the form."""
+        if not self.form.preserved_by(u):
+            raise ValueError("a conjugator must preserve the form")
         ui = u.inverse()
         images = {g: u * m * ui for g, m in self.images.items()}
         return Representation(self.presentation, images, self.form)

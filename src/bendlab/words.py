@@ -88,9 +88,6 @@ class Word:
     def __hash__(self):
         return hash(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def generators_used(self) -> set[str]:
         return {g for g, _ in self.letters}
 
@@ -148,17 +145,8 @@ class GroupRingElem:
                 out[w] = out.get(w, 0) + c1 * c2
         return GroupRingElem(out)
 
-    def scale(self, k: int) -> "GroupRingElem":
-        return GroupRingElem({w: k * c for w, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupRingElem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -316,9 +304,6 @@ class Presentation:
             used = mu.generators_used() | lam.generators_used()
             if not used <= gens:
                 raise WordError("cusp words use unknown generators")
-
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self.generators)
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":

@@ -10,6 +10,9 @@ The README carries the analysis.
 import pytest
 
 from bendlab import acceptance
+from bendlab.fixtures import load_bundle
+from bendlab.linalg import RationalMatrix
+from bendlab.reps import QuadraticForm, Representation
 
 CASES = 1000
 
@@ -88,3 +91,16 @@ def test_criterion_13_property_relator_derivatives(ctx):
 
 def test_criterion_13_property_conjugation_invariance(ctx):
     report([acceptance.suite_conjugation_invariance(ctx, CASES)])
+
+
+def test_fixture_suite_passes_on_an_override_under_another_form(bundle):
+    # the change of basis P moves the form Q = diag(-1, 1, 1, 1) to P^-T Q P^-1,
+    # which the conjugator pool's reflection, swap and boost do not preserve
+    p = RationalMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]])
+    pi = p.inverse()
+    rho = bundle.representation
+    other = Representation(bundle.presentation,
+                           {g: p * m * pi for g, m in rho.images.items()},
+                           QuadraticForm(pi.transpose() * rho.form.matrix * pi))
+    assert not other.form.preserved_by(acceptance._conjugator_pool(rho)[-1])
+    report(acceptance.run_fixture_suite(load_bundle(bundle.presentation, other), cases=2))

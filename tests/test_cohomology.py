@@ -10,7 +10,7 @@ from bendlab.cohomology import (CocycleSpace, class_span_dim, cocycle_eval,
 from bendlab.linalg import RationalMatrix, nullspace, rref_rank
 from bendlab.modules import CoefficientModule
 from bendlab.reps import QuadraticForm, Representation
-from bendlab.words import Presentation, Word
+from bendlab.words import Presentation, Word, parse_word
 
 EXPECTED = {
     "standard": dict(z1=7, b1=4, h0=0, h1=3, pz1=4, ph1=0, peri=[1, 1, 1]),
@@ -153,7 +153,8 @@ def test_per_element_without_product_words_is_weaker(borromean, spaces):
 def test_nonparabolic_word_warns(borromean, rho):
     # a loxodromic meridian on the first cusp: it and its product with the
     # longitude are not parabolic
-    cusps = ((borromean.parse("x^-1 y"), borromean.cusps[0][1]),) + borromean.cusps[1:]
+    meridian = parse_word("x^-1 y", borromean.generators)
+    cusps = ((meridian, borromean.cusps[0][1]),) + borromean.cusps[1:]
     pres = Presentation(borromean.generators, borromean.relators, cusps)
     module = CoefficientModule(Representation(pres, rho.images, rho.form), "standard")
     report = h1_report(pres, module, mode="per_element")
@@ -161,8 +162,8 @@ def test_nonparabolic_word_warns(borromean, rho):
 
 
 def test_redundant_relator_leaves_dimensions_unchanged(borromean, rho):
-    extended = Presentation(borromean.generators,
-                            borromean.relators + (borromean.parse("[z,[x^-1,y]]"),),
+    third = parse_word("[z,[x^-1,y]]", borromean.generators)
+    extended = Presentation(borromean.generators, borromean.relators + (third,),
                             borromean.cusps)
     rep = Representation(extended, rho.images, rho.form)
     for kind in ("standard", "nu", "adjoint"):

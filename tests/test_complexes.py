@@ -42,7 +42,7 @@ def test_angle_names_and_pairs():
 
 def test_angle_json_roundtrip():
     for a in (Angle.named("3pi/2"), Angle.exact_pair(Fraction(3, 5), Fraction(4, 5)),
-              Angle.from_radians(0.7)):
+              Angle.float_pair(math.cos(0.7), math.sin(0.7))):
         again = Angle.from_json(a.to_json())
         assert again.exact == a.exact
         if a.exact:
@@ -100,7 +100,8 @@ def test_isolated_wall_adds_one_to_nullity(bundle):
 
 @pytest.mark.parametrize("k", range(3, 13))
 def test_roots_of_unity_equal_weights(k):
-    angles = [Angle.from_radians(2 * math.pi * j / k) for j in range(k)]
+    angles = [Angle.float_pair(math.cos(t), math.sin(t))
+              for t in (2 * math.pi * j / k for j in range(k))]
     if k == 4:
         angles = [Angle.named(n) for n in RIGHT_ANGLES]
     cx = single_binding(angles)
@@ -170,8 +171,8 @@ def test_rank_nullity_over_geometries(bundle):
 
 
 def test_mixed_angles_warn_and_fall_back_to_float():
-    pairs = [Angle.exact_pair(1, 0), Angle.from_radians(2.0),
-             Angle.from_radians(4.0)]
+    pairs = [Angle.exact_pair(1, 0), Angle.float_pair(math.cos(2.0), math.sin(2.0)),
+             Angle.float_pair(math.cos(4.0), math.sin(4.0))]
     cx = single_binding(pairs)
     with pytest.warns(UserWarning):
         system = build_system(cx, "so")

@@ -137,9 +137,9 @@ def test_rank_bounded_by_shape(n, data):
 
 
 def test_float_rank_tolerance():
-    m = FloatMatrix.from_rows([[1.0, 2.0], [1.0, 2.0 + 1e-12]])
+    m = FloatMatrix(2, 2, [1.0, 2.0, 1.0, 2.0 + 1e-12])
     assert m.rank() == 1
-    m2 = FloatMatrix.from_rows([[1.0, 2.0], [1.0, 2.5]])
+    m2 = FloatMatrix(2, 2, [1.0, 2.0, 1.0, 2.5])
     assert m2.rank() == 2
 
 
@@ -149,7 +149,7 @@ def test_float_rank_tolerance_must_be_positive():
 
 
 def test_float_kills_vector():
-    m = FloatMatrix.from_rows([[1.0, -1.0], [0.5, -0.5]])
+    m = FloatMatrix(2, 2, [1.0, -1.0, 0.5, -0.5])
     assert m.kills_vector([1.0, 1.0])
     assert not m.kills_vector([1.0, 0.0])
 

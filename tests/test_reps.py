@@ -25,7 +25,7 @@ def test_relators_evaluate_to_identity(rho, borromean):
     for r in borromean.relators:
         assert rho.evaluate(r) == ident
     # the redundant third relation holds as well
-    third = borromean.parse("[z,[x^-1,y]]")
+    third = parse_word("[z,[x^-1,y]]", borromean.generators)
     assert rho.evaluate(third) == ident
 
 
@@ -39,9 +39,9 @@ def test_evaluate_is_homomorphism(rho, borromean):
 
 def test_evaluate_group_ring_linear(rho, borromean):
     one = GroupRingElem.one()
-    conj = GroupRingElem.from_word(borromean.parse("x y x^-1"))
-    expect = (RationalMatrix.identity(4)
-              - rho.evaluate(borromean.parse("x y x^-1")))
+    w = parse_word("x y x^-1", borromean.generators)
+    conj = GroupRingElem.from_word(w)
+    expect = RationalMatrix.identity(4) - rho.evaluate(w)
     assert rho.evaluate(one - conj) == expect
 
 
@@ -76,8 +76,8 @@ def test_identity_representation_passes(borromean):
 
 
 def test_validation_reports_corrupted_relator(rho, borromean):
-    corrupted = Presentation(borromean.generators,
-                             borromean.relators + (borromean.parse("x y"),),
+    bad_relator = parse_word("x y", borromean.generators)
+    corrupted = Presentation(borromean.generators, borromean.relators + (bad_relator,),
                              borromean.cusps)
     rep = Representation(corrupted, rho.images, rho.form)
     report = validate_representation(rep)
@@ -220,6 +220,13 @@ def test_quadratic_form_requires_symmetric_invertible():
         QuadraticForm(RationalMatrix.identity(1))
     with pytest.raises(ValueError, match="at least 2x2"):
         QuadraticForm(RationalMatrix.zeros(0, 0))
+
+
+def test_conjugated_refuses_a_matrix_that_breaks_the_form(rho):
+    shear = RationalMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for u in (shear, RationalMatrix.identity(4).scale(2), RationalMatrix.identity(3)):
+        with pytest.raises(ValueError, match="preserve the form"):
+            rho.conjugated(u)
 
 
 def test_word_cache_stays_within_its_bound(rho, borromean):
