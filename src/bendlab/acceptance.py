@@ -56,14 +56,11 @@ class CheckResult:
 @dataclass
 class SuiteContext:
     bundle: FixtureBundle
-    modules: dict = field(default_factory=dict)
     spaces: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
 
     def module(self, kind: str):
-        if kind not in self.modules:
-            self.modules[kind] = CoefficientModule(self.bundle.representation, kind)
-        return self.modules[kind]
+        return self.bundle.representation.module(kind)
 
     def space(self, kind: str) -> CocycleSpace:
         if kind not in self.spaces:

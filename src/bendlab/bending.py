@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RationalMatrix, nullspace
-from .modules import CoefficientModule, _as_columns, adjoint_basis, nu_basis
-from .reps import FirstOrderRep, QuadraticForm, Representation, first_order_evaluate
+from .modules import CoefficientModule
+from .reps import FirstOrderRep, Representation, first_order_evaluate
 from .words import Presentation, Word, parse_word
 
 # the coefficient module that carries each geometry's tangent cocycles
@@ -64,54 +64,43 @@ def sqrt_fraction(q: Fraction) -> Fraction | None:
     return None
 
 
-def _commutator_map(m: RationalMatrix) -> RationalMatrix:
-    """The map X -> X m - m X on row-major vec(X), as the n^2 x n^2 matrix
-    I (x) m^T - m (x) I, written on the numerators of m."""
-    nums, d = m.to_numerators()
-    n = m.rows
-    out = [0] * (n ** 4)
-    for i in range(n):
-        for j in range(n):
-            row = (i * n + j) * n * n
-            for k in range(n):
-                out[row + i * n + k] += nums[k * n + j]
-                out[row + k * n + j] -= nums[i * n + k]
-    return RationalMatrix.from_numerators(n * n, n * n, out, d)
-
-
-def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> RationalMatrix:
+def centralizer_generator(rep: Representation, datum: BendingDatum) -> RationalMatrix:
     """The normalized generator of the one-dimensional centralizer of the wall
-    matrices in the ambient algebra of the form Q: sl(n+1) for sl, with Q of
-    size n+1, and so(Q) for so_ext, where Q is the extended form of size n+2.
+    subgroup W in the ambient algebra: sl(n+1) = so(Q) + nu for sl, and
+    so(Q + 1) = so(Q) + R^{n,1} for so_ext, with Q of size n+1.
 
-    The centralizer is the kernel of X -> (X m - m X) over the wall matrices
-    m, with X written in the basis so(Q) + nu of sl(n+1) (sl) or so(Q)
-    (so_ext). sl: eigenvalues (-n, 1 x n), pinned by (v + nI)(v - I) = 0 with
-    trace 0; so_ext: v^3 = -v with v != 0, sign fixed so the first nonzero
-    row-major entry is positive.
+    W lies in O(Q), so both splittings are into W-modules, and the centralizer
+    is W's H^0 in ``adjoint`` plus its H^0 in the geometry's tangent module
+    (``MODULE_KIND``), each the kernel of that module's coboundary map over
+    the wall words. A vector nu in R^{n,1} enters so(Q + 1) as the last column
+    of [[0, nu], [-nu^T Q, 0]], the column :func:`tangent_cocycle` reads.
+    sl: eigenvalues (-n, 1 x n), pinned by (v + nI)(v - I) = 0 with trace 0;
+    so_ext: v^3 = -v with v != 0, sign fixed so the first nonzero row-major
+    entry is positive.
     """
-    if geometry not in GEOMETRIES:
-        raise ValueError(f"unknown geometry {geometry!r}")
-    size = form.size
-    if any(m.shape != (size, size) for m in walls):
-        raise ValueError(f"wall matrices must be {size}x{size}")
-    algebra = adjoint_basis(form) + (nu_basis(form) if geometry == "sl" else [])
-    columns = _as_columns(algebra)
-    system = RationalMatrix.zeros(0, len(algebra)).vstack(
-        *(_commutator_map(m) * columns for m in walls))
-    kernel = nullspace(system)
-    if len(kernel) != 1:
-        raise ValueError(f"centralizer dimension {len(kernel)} != 1")
-    x0 = (columns * RationalMatrix.column(kernel[0])).reshape(size, size)
+    parts = [(kind, vec) for kind in ("adjoint", MODULE_KIND[datum.geometry])
+             for vec in nullspace(rep.module(kind).coboundary_map(datum.subgroup))]
+    if len(parts) != 1:
+        raise ValueError(f"centralizer dimension {len(parts)} != 1")
+    (kind, vec), = parts
+    n1 = rep.size
+    x = rep.module(kind)._columns * RationalMatrix.column(vec)
+    if datum.geometry == "sl":
+        x0 = x.reshape(n1, n1)
+    else:  # [[A, nu], [-nu^T Q, 0]] in so(Q + 1)
+        zeros = RationalMatrix.zeros
+        a = x.reshape(n1, n1) if kind == "adjoint" else zeros(n1, n1)
+        nu = x if kind == "standard" else zeros(n1, 1)
+        x0 = a.hstack(nu).vstack((-nu.transpose() * rep.form.matrix).hstack(zeros(1, 1)))
     t2 = (x0 * x0).trace()
-    if geometry == "sl":
-        n = size - 1
+    if datum.geometry == "sl":
+        n = n1 - 1
         if t2 <= 0:
             raise ValueError("degenerate centralizer element (tr v^2 <= 0)")
         c = sqrt_fraction(Fraction(n * n + n) / t2)
         if c is None:
             raise ValueError("sl normalization scale is irrational for this datum")
-        ident = RationalMatrix.identity(size)
+        ident = RationalMatrix.identity(n1)
         for s in (c, -c):
             v = x0.scale(s)
             if ((v + ident.scale(n)) * (v - ident)).is_zero():
@@ -129,15 +118,6 @@ def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> RationalMatri
     if not (v * v * v + v).is_zero():
         raise ValueError("so_ext centralizer element does not satisfy v^3 = -v")
     return v
-
-
-def centralizer_generator(rep: Representation, datum: BendingDatum) -> RationalMatrix:
-    """The normalized generator of the one-dimensional centralizer of the
-    wall subgroup in the ambient algebra: the wall words evaluated in
-    ``datum.base(rep)``, handed to :func:`wall_centralizer`."""
-    base = datum.base(rep)
-    return wall_centralizer([base.evaluate(w) for w in datum.subgroup], base.form,
-                            datum.geometry)
 
 
 def hnn_first_order(rep: Representation, datum: BendingDatum,

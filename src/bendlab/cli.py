@@ -25,7 +25,6 @@ from .cohomology import (CocycleSpace, class_span_dim, h1_report, is_cuspidal,
 from .complexes import bending_dimension
 from .fixtures import InputError
 from .linalg import DEFAULT_FLOAT_TOLERANCE, nullspace
-from .modules import CoefficientModule
 from .reps import Representation, validate_representation
 
 EXIT_OK = 0
@@ -79,7 +78,7 @@ def cmd_cohomology(args) -> int:
     _require_valid(rep, "representation")
     kind = COEFFICIENT_KINDS[args.coefficients]
     mode = args.parabolic.replace("-", "_")
-    module = CoefficientModule(rep, kind)
+    module = rep.module(kind)
     space = CocycleSpace(pres, module)
     report = h1_report(pres, module, mode=mode, space=space)
     # each key recomputes its quantity by a second route: a Gauss-Jordan
@@ -124,7 +123,7 @@ def cmd_bend(args) -> int:
     data = fixtures.load_pants(pres, geometry, args.pants)
     words = fixtures.load_words(pres, args.words) if args.words else []
     kind = MODULE_KIND[geometry]
-    module = CoefficientModule(rep, kind)
+    module = rep.module(kind)
     space = CocycleSpace(pres, module)
     entries = []
     cocycles = []

@@ -81,23 +81,18 @@ class CoefficientModule:
             raise ValueError(f"unknown module kind {kind!r}")
         self.rep = rep
         self.kind = kind
-        n = rep.ambient_dimension
         if kind == "standard":
             self.basis = []
-            self.dimension = n + 1
-            self._columns = RationalMatrix.identity(n + 1)
+            self.dimension = rep.size
+            self._columns = RationalMatrix.identity(rep.size)
             self.evaluator = rep.evaluator
         else:
             self.basis = nu_basis(rep.form) if kind == "nu" else adjoint_basis(rep.form)
-            expected = n * (n + 3) // 2 if kind == "nu" else n * (n + 1) // 2
-            if len(self.basis) != expected:
-                raise ValueError(f"{kind} basis has {len(self.basis)} elements, "
-                                 f"expected {expected}")
-            self.dimension = expected
+            self.dimension = len(self.basis)
             self._columns = _as_columns(self.basis)
             self.evaluator = WordEvaluator(
                 {g: self._ad_matrix(rep.image(g), rep.image(g, -1))
-                 for g in rep.presentation.generators}, expected)
+                 for g in rep.presentation.generators}, self.dimension)
 
     def _ad_matrix(self, m: RationalMatrix, mi: RationalMatrix) -> RationalMatrix:
         # one elimination for all basis images: RREF of [columns | images]

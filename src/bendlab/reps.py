@@ -97,9 +97,9 @@ class Representation:
         self.presentation = presentation
         self.images = dict(images)
         self.form = form
-        self.ambient_dimension = size - 1
         self.evaluator = WordEvaluator(self.images, size)
         self._embedded: Representation | None = None
+        self._modules: dict = {}
 
     @property
     def size(self) -> int:
@@ -130,6 +130,15 @@ class Representation:
             form = QuadraticForm(_with_unit(self.form.matrix))
             self._embedded = Representation(self.presentation, images, form)
         return self._embedded
+
+    def module(self, kind: str):
+        """The coefficient module of the given kind over this representation.
+        Built on first use and kept: every wall centralizer, cocycle space and
+        tangent cocycle of this representation reads the same module."""
+        if kind not in self._modules:
+            from .modules import CoefficientModule  # modules imports reps
+            self._modules[kind] = CoefficientModule(self, kind)
+        return self._modules[kind]
 
     @classmethod
     def from_json(cls, data: dict, presentation: Presentation) -> "Representation":

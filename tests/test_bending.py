@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from bendlab import modules as modules_module
 from bendlab.acceptance import _bend, _conjugator_pool
-from bendlab.bending import (BendingDatum, _commutator_map,
-                             centralizer_generator, hnn_first_order,
-                             match_up_to_column_signs_and_scale, tangent_cocycle,
-                             trace_derivative_matrix, wall_centralizer)
+from bendlab.bending import (BendingDatum, centralizer_generator, hnn_first_order,
+                             match_up_to_column_signs_and_scale, sqrt_fraction,
+                             tangent_cocycle, trace_derivative_matrix)
 from bendlab.cohomology import class_span_dim, is_cuspidal
 from bendlab.fixtures import PANTS_TRACE, load_pants
-from bendlab.linalg import RationalMatrix, rref_rank
-from bendlab.reps import FirstOrderRep, _with_unit, first_order_evaluate
-from bendlab.words import Word
+from bendlab.linalg import RationalMatrix, nullspace, rref_rank
+from bendlab.modules import _as_columns, adjoint_basis, nu_basis
+from bendlab.reps import (FirstOrderRep, QuadraticForm, Representation, _with_unit,
+                          first_order_evaluate)
+from bendlab.words import Presentation, Word
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,83 @@ def test_so_centralizer_golden_value(so_generators):
     assert so_generators["P_RB"] == expect
 
 
+def _commutator_map(m: RationalMatrix) -> RationalMatrix:
+    """The map X -> X m - m X on row-major vec(X), as the n^2 x n^2 matrix
+    I (x) m^T - m (x) I, written on the numerators of m."""
+    nums, d = m.to_numerators()
+    n = m.rows
+    out = [0] * (n ** 4)
+    for i in range(n):
+        for j in range(n):
+            row = (i * n + j) * n * n
+            for k in range(n):
+                out[row + i * n + k] += nums[k * n + j]
+                out[row + k * n + j] -= nums[i * n + k]
+    return RationalMatrix.from_numerators(n * n, n * n, out, d)
+
+
+def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> RationalMatrix:
+    """Reference route for ``centralizer_generator``: the kernel of
+    X -> (X m - m X) over the wall matrices m, with X written in the basis
+    so(Q) + nu of sl(n+1) (sl, Q of size n+1) or so(Q') (so_ext, where Q' is
+    the extended form of size n+2), then the same normalization. Raises the
+    library's error texts, "centralizer dimension N != 1" among them."""
+    size = form.size
+    algebra = adjoint_basis(form) + (nu_basis(form) if geometry == "sl" else [])
+    columns = _as_columns(algebra)
+    system = RationalMatrix.zeros(0, len(algebra)).vstack(
+        *(_commutator_map(m) * columns for m in walls))
+    kernel = nullspace(system)
+    if len(kernel) != 1:
+        raise ValueError(f"centralizer dimension {len(kernel)} != 1")
+    x0 = (columns * RationalMatrix.column(kernel[0])).reshape(size, size)
+    t2 = (x0 * x0).trace()
+    if geometry == "sl":
+        n = size - 1
+        if t2 <= 0:
+            raise ValueError("degenerate centralizer element (tr v^2 <= 0)")
+        c = sqrt_fraction(Fraction(n * n + n) / t2)
+        if c is None:
+            raise ValueError("sl normalization scale is irrational for this datum")
+        ident = RationalMatrix.identity(size)
+        for s in (c, -c):
+            v = x0.scale(s)
+            if ((v + ident.scale(n)) * (v - ident)).is_zero():
+                return v
+        raise ValueError("centralizer element has wrong eigenvalue structure")
+    if t2 >= 0:
+        raise ValueError("so_ext centralizer element is not elliptic (tr v^2 >= 0)")
+    c = sqrt_fraction(Fraction(-2) / t2)
+    if c is None:
+        raise ValueError("so_ext normalization scale is irrational for this datum")
+    v = x0.scale(c)
+    first = next((e for i in range(v.rows) for e in v.row(i) if e), None)
+    if first is not None and first < 0:
+        v = -v
+    if not (v * v * v + v).is_zero():
+        raise ValueError("so_ext centralizer element does not satisfy v^3 = -v")
+    return v
+
+
+def outcome(f, *args):
+    """f's value, or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference_outcome(rep, datum):
+    base = datum.base(rep)
+    return outcome(wall_centralizer, [base.evaluate(w) for w in datum.subgroup],
+                   base.form, datum.geometry)
+
+
+def assert_matches_reference(rep, data):
+    for datum in data:
+        assert outcome(centralizer_generator, rep, datum) == reference_outcome(rep, datum)
+
+
 def test_commutator_map_is_the_vectorized_commutator():
     rng = random.Random(21)
     for n in (2, 3, 5):
@@ -87,19 +166,85 @@ def test_commutator_map_is_the_vectorized_commutator():
             assert got == (x * m - m * x).reshape(n * n, 1)
 
 
+def form_moved_override(rep):
+    """The fixture under the change of basis P, so under the form P^-T Q P^-1,
+    which is not diagonal."""
+    p = RationalMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]])
+    pi = p.inverse()
+    return Representation(rep.presentation, {g: p * m * pi for g, m in rep.images.items()},
+                          QuadraticForm(pi.transpose() * rep.form.matrix * pi))
+
+
 @pytest.mark.parametrize("geometry", ["sl", "so_ext"])
 def test_wall_centralizer_takes_matrices_and_a_form(bundle, geometry):
+    # the coefficient-module route equals the commutator kernel on the
+    # fixture, its conjugates and an override under a non-diagonal form
     rep = bundle.representation
-    for datum in bundle.pants:
-        datum = replace(datum, geometry=geometry)
-        base = datum.base(rep)
-        walls = [base.evaluate(w) for w in datum.subgroup]
-        got = wall_centralizer(walls, base.form, geometry)
-        assert got == centralizer_generator(rep, datum)
-    with pytest.raises(ValueError, match="wall matrices must be"):
-        wall_centralizer([RationalMatrix.identity(base.size + 1)], base.form, geometry)
-    with pytest.raises(ValueError, match="unknown geometry"):
-        wall_centralizer(walls, base.form, "so")
+    reps = [rep, form_moved_override(rep)] + [rep.conjugated(u) for u in _conjugator_pool(rep)]
+    for path in (None, PANTS_TRACE):
+        walls = load_pants(bundle.presentation, geometry, path)
+        for conj in reps:
+            for datum in walls:
+                assert centralizer_generator(conj, datum) == reference_outcome(conj, datum)
+    gens = bundle.presentation.generators
+    errors = [BendingDatum(name, tuple(Word.generator(g) for g in subgroup),
+                           Word.generator("x"), geometry)
+              for name, subgroup in (("none", ()), ("x", gens[:1]), ("all", gens))]
+    assert [outcome(centralizer_generator, rep, d) for d in errors] == (
+        ["centralizer dimension 15 != 1", "centralizer dimension 5 != 1",
+         "centralizer dimension 0 != 1"] if geometry == "sl" else
+        ["centralizer dimension 10 != 1", "centralizer dimension 4 != 1",
+         "centralizer dimension 0 != 1"])
+    assert_matches_reference(rep, errors)
+
+
+def test_centralizer_may_lie_in_so_q():
+    # a boost of R^{1,1} is centralized by so(1,1) alone: in sl(2) that is v,
+    # in so(Q + 1) it is not elliptic, and the tangent module contributes nothing
+    pres = Presentation(("x",), ())
+    boost = RationalMatrix.from_rows([[Fraction(5, 3), Fraction(4, 3)],
+                                      [Fraction(4, 3), Fraction(5, 3)]])
+    rep = Representation(pres, {"x": boost},
+                         QuadraticForm(RationalMatrix.from_rows([[-1, 0], [0, 1]])))
+    sl, so = (BendingDatum("boost", (Word.generator("x"),), Word.generator("x"), g)
+              for g in ("sl", "so_ext"))
+    assert centralizer_generator(rep, sl) == RationalMatrix.from_rows([[0, -1], [-1, 0]])
+    assert outcome(centralizer_generator, rep, so) == (
+        "so_ext centralizer element is not elliptic (tr v^2 >= 0)")
+    assert_matches_reference(rep, [sl, so])
+
+
+def test_centralizers_reuse_the_representations_modules(bundle, monkeypatch):
+    rho = bundle.representation
+    rep = Representation(rho.presentation, rho.images, rho.form)
+    for geometry in ("sl", "so_ext"):
+        centralizer_generator(rep, replace(bundle.pants[0], geometry=geometry))
+    built = []
+    init = modules_module.CoefficientModule.__init__
+    monkeypatch.setattr(modules_module.CoefficientModule, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    for geometry in ("sl", "so_ext"):
+        centralizer_generator(rep, replace(bundle.pants[1], geometry=geometry))
+    assert built == []
+    for kind in ("standard", "nu", "adjoint"):
+        assert rep.module(kind) is rep.module(kind)
+
+
+def test_so_ext_cocycle_is_the_unit_normal_of_the_wall(bundle, so_pants):
+    # Johnson-Millson: the bending cocycle is a W-fixed unit spacelike vector
+    # at the stable letter and zero at every other generator
+    rep = bundle.representation
+    gens = bundle.presentation.generators
+    for conj in [rep] + [rep.conjugated(u) for u in _conjugator_pool(rep)]:
+        module, q = conj.module("standard"), conj.form.matrix
+        for datum in so_pants:
+            fo = hnn_first_order(conj, datum, centralizer_generator(conj, datum))
+            c = tangent_cocycle(fo, module)
+            values = {g: c[4 * k:4 * k + 4] for k, g in enumerate(gens)}
+            u = RationalMatrix.column(values.pop(datum.stable_letter.letters[0][0]))
+            assert (u.transpose() * q * u)[0, 0] == 1
+            assert all(conj.evaluate(w) * u == u for w in datum.subgroup)
+            assert not any(x for value in values.values() for x in value)
 
 
 def test_empty_subgroup_overcounts(bundle):
