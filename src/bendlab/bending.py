@@ -87,7 +87,7 @@ def centralizer_generator(rep: Representation, datum: BendingDatum) -> RationalM
     x = rep.module(kind)._columns * RationalMatrix.column(vec)
     if datum.geometry == "sl":
         x0 = x.reshape(n1, n1)
-    else:  # [[A, nu], [-nu^T Q, 0]] in so(Q + 1)
+    else:
         zeros = RationalMatrix.zeros
         a = x.reshape(n1, n1) if kind == "adjoint" else zeros(n1, n1)
         nu = x if kind == "standard" else zeros(n1, 1)

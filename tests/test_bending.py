@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from bendlab import modules as modules_module
 from bendlab.acceptance import _bend, _conjugator_pool
 from bendlab.bending import (BendingDatum, centralizer_generator, hnn_first_order,
                              match_up_to_column_signs_and_scale, sqrt_fraction,
@@ -12,7 +11,7 @@ from bendlab.bending import (BendingDatum, centralizer_generator, hnn_first_orde
 from bendlab.cohomology import class_span_dim, is_cuspidal
 from bendlab.fixtures import PANTS_TRACE, load_pants
 from bendlab.linalg import RationalMatrix, nullspace, rref_rank
-from bendlab.modules import _as_columns, adjoint_basis, nu_basis
+from bendlab.modules import CoefficientModule, _as_columns, adjoint_basis, nu_basis
 from bendlab.reps import (FirstOrderRep, QuadraticForm, Representation, _with_unit,
                           first_order_evaluate)
 from bendlab.words import Presentation, Word
@@ -220,8 +219,8 @@ def test_centralizers_reuse_the_representations_modules(bundle, monkeypatch):
     for geometry in ("sl", "so_ext"):
         centralizer_generator(rep, replace(bundle.pants[0], geometry=geometry))
     built = []
-    init = modules_module.CoefficientModule.__init__
-    monkeypatch.setattr(modules_module.CoefficientModule, "__init__",
+    init = CoefficientModule.__init__
+    monkeypatch.setattr(CoefficientModule, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
     for geometry in ("sl", "so_ext"):
         centralizer_generator(rep, replace(bundle.pants[1], geometry=geometry))
@@ -511,6 +510,8 @@ def test_datum_base_is_decided_by_its_geometry(bundle, so_pants):
     emb = so_pants[0].base(rep)
     assert emb.size == rep.size + 1
     assert all(datum.base(rep) is emb for datum in so_pants)
+    with pytest.raises(ValueError, match="unknown geometry"):
+        replace(bundle.pants[0], geometry="so")
 
 
 def test_generator_of_the_wrong_size_is_rejected(bundle, so_generators):
