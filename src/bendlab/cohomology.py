@@ -11,8 +11,8 @@ Both reduce to one test: c restricted to a group of words is a coboundary
 there when the stacked values (c(w))_w lie in the image of
 ``CoefficientModule.coboundary_map``, i.e. are killed by its left kernel. That
 left kernel times the stacked ``word_row``s gives exact condition rows over c.
-PZ^1 is the kernel of those rows stacked under the Fox Jacobian, so its
-dimension is one rank; a cusp is cuspidal-trivial when its rows kill c.
+PZ^1 is the kernel of those rows stacked under the Fox Jacobian: one rank,
+on the Jacobian's free columns. A cusp is cuspidal-trivial when its rows kill c.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import RationalMatrix, echelon
+from .linalg import RationalMatrix, echelon, rref_rank
 from .modules import CoefficientModule
 from .reps import is_parabolic
 from .words import Presentation, Word
@@ -42,30 +42,31 @@ class CocycleSpace:
             *(self.word_row(r) for r in presentation.relators))
         self.coboundary_map = module.coboundary_map(
             [Word.generator(g) for g in presentation.generators])
-        self.dim_z1 = self.jacobian.cols - self.jacobian.rank()
+        self._echelon, pivots = echelon(self.jacobian)  # J's RREF starts from it
+        self.dim_z1 = self.jacobian.cols - len(pivots)
         self.dim_b1 = self.coboundary_map.rank()
         self.dim_h0 = self.d - self.dim_b1
         self.dim_h1 = self.dim_z1 - self.dim_b1
         self._conditions = {}  # tuple(group) -> its coboundary conditions
+        self._kernel = None  # J's pivot and free columns, and R at the free ones
 
     def word_row(self, w: Word) -> RationalMatrix:
         """d x (g*d) matrix evaluating c(w) from generator values: block i is
         the action of the Fox derivative dw/dx_i.
 
-        Walks the word once, accumulating prefix actions (every Fox term is a
-        prefix, possibly times one inverse letter).
+        Every Fox term is a prefix action, read from the module's walk of the
+        word; a positive last letter needs no product after it.
         """
         d = self.d
-        letters = self.module.evaluator.letters
         blocks = {g: RationalMatrix.zeros(d, d) for g in self.presentation.generators}
-        prefix = RationalMatrix.identity(d)
-        for g, e in w.letters:
-            if e == 1:
-                blocks[g] = blocks[g] + prefix
-                prefix = prefix * letters[g, 1]
-            else:
-                prefix = prefix * letters[g, -1]
-                blocks[g] = blocks[g] - prefix
+        prefixes = self.module.evaluator.walk(w.letters)
+        prefix = next(prefixes)
+        for k, (g, e) in enumerate(w.letters, 1):
+            if e == -1:
+                prefix = next(prefixes)
+            blocks[g] = blocks[g] + prefix if e == 1 else blocks[g] - prefix
+            if e == 1 and k < len(w.letters):
+                prefix = next(prefixes)
         return RationalMatrix.zeros(d, 0).hstack(*blocks.values())
 
     def coboundary(self, alpha) -> tuple[Fraction, ...]:
@@ -79,30 +80,38 @@ class CocycleSpace:
         c(w) = (I - w).alpha for every w in the group: the system is solvable
         when its right-hand side is killed by the left kernel of its matrix.
 
-        One echelon-only pass over [I - w | word_row(w)]_w: the rows whose
-        pivot lies past the first d columns are zero there, so they combine
-        the rows by left-kernel vectors, and together they span the left
-        kernel; their word-row parts are the conditions. They depend only on
-        the space and the group, so each group's are built once."""
+        One echelon-only pass over [I - w | word_row(w)]_w that pivots only in
+        its first d columns: the rows past its pivot rows are zero there, so
+        they combine the rows by left-kernel vectors, and together they span
+        the left kernel; their word-row parts are the conditions. They depend
+        only on the space and the group, so each group's are built once."""
         key = tuple(group)
         if key in self._conditions:
             return self._conditions[key]
         d = self.d
         system = self.module.coboundary_map(group).hstack(
             RationalMatrix.zeros(0, self.g * d).vstack(*(self.word_row(w) for w in group)))
-        rows, pivots = echelon(system)
-        first = next((k for k, p in enumerate(pivots) if p >= d), len(pivots))
-        self._conditions[key] = rows.submatrix(range(first, len(pivots)),
+        rows, pivots = echelon(system, _stop=d)
+        self._conditions[key] = rows.submatrix(range(len(pivots), rows.rows),
                                                range(d, system.cols))
         return self._conditions[key]
 
     def parabolic_kernel_dim(self, word_groups) -> int:
         """Dimension of {c in Z^1 : for each group there is one alpha with
         c(w) = (I - w).alpha for every w in the group}: the nullity of the
-        Jacobian stacked over every group's coboundary conditions."""
-        stacked = self.jacobian.vstack(
+        Jacobian J stacked over every group's coboundary conditions C. A cocycle
+        has c_pivot = -R_free c_free on J's RREF R (taken once per space, from
+        J's echelon rows), so that is #free less the rank of C_free - C_pivot R_free."""
+        if self._kernel is None:
+            red, rank, pivots = rref_rank(self._echelon)
+            free = [c for c in range(self.jacobian.cols) if c not in pivots]
+            self._kernel = pivots, free, red.submatrix(range(rank), free)
+        pivots, free, r_free = self._kernel
+        conditions = RationalMatrix.zeros(0, self.jacobian.cols).vstack(
             *(self._coboundary_conditions(group) for group in word_groups))
-        return stacked.cols - stacked.rank()
+        rows = range(conditions.rows)
+        return len(free) - (conditions.submatrix(rows, free)
+                            - conditions.submatrix(rows, pivots) * r_free).rank()
 
     def cuspidal_defect(self, c) -> list[bool]:
         """Per cusp: True when the restricted class is trivial there, i.e. one

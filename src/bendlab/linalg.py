@@ -274,7 +274,7 @@ class RationalMatrix:
         return cls.from_rows([[parse_rational(str(x)) for x in row] for row in data])
 
 
-def _eliminate(m: RationalMatrix, reduce: bool = True):
+def _eliminate(m: RationalMatrix, reduce: bool = True, stop: int | None = None):
     """Fraction-free elimination on the numerators (Bareiss 1968), after
     dividing each row by its content so that it is primitive. Columns are
     taken in order; the pivot row is the candidate with the smallest nonzero
@@ -291,8 +291,9 @@ def _eliminate(m: RationalMatrix, reduce: bool = True):
     With ``reduce`` (Gauss-Jordan) every other row is cleared in the pivot
     column; without it (echelon only) just the rows below, and only their
     entries from column ``c`` on. The pivots, last pivot and swap sign are the
-    same either way. Returns (rows, dens, pivots, last pivot, swap sign, row
-    contents); with ``reduce`` the RREF is ``row / den``.
+    same either way. With ``stop`` the pass pivots only in the columns before
+    it. Returns (rows, dens, pivots, last pivot, swap sign, row contents);
+    with ``reduce`` the RREF is ``row / den``.
     """
     nr, nc = m.rows, m.cols
     rows = [m._n[i * nc:(i + 1) * nc] for i in range(nr)]
@@ -301,7 +302,7 @@ def _eliminate(m: RationalMatrix, reduce: bool = True):
     dens = [1] * nr
     pivots: list[int] = []
     prev, sign, r = 1, 1, 0
-    for c in range(nc):
+    for c in range(nc if stop is None else stop):
         if r == nr:
             break
         piv, best = None, 0
@@ -351,14 +352,16 @@ def rref_rank(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     return RationalMatrix._of(m.rows, m.cols, nums, d), len(pivots), pivots
 
 
-def echelon(m: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
+def echelon(m: RationalMatrix, _stop: int | None = None) -> tuple[RationalMatrix, list[int]]:
     """The nonzero rows of a row echelon form of ``m``, each an integer
     multiple of a combination of the rows of ``m``, and their pivot columns,
     from one echelon-only pass of :func:`_eliminate`. The rows span the row
-    space of ``m`` but are not reduced above the pivots nor scaled to 1."""
-    rows, _, pivots, _, _, _ = _eliminate(m, reduce=False)
-    return (RationalMatrix._of(len(pivots), m.cols,
-                               [a for row in rows[:len(pivots)] for a in row]), pivots)
+    space of ``m`` but are not reduced above the pivots nor scaled to 1.
+    With ``_stop`` only the columns before it pivot, and the nonzero rows
+    past the pivot rows, zero there, follow them."""
+    rows, _, pivots, _, _, _ = _eliminate(m, reduce=False, stop=_stop)
+    kept = rows[:len(pivots)] + [row for row in rows[len(pivots):] if any(row)]
+    return RationalMatrix._of(len(kept), m.cols, [a for row in kept for a in row]), pivots
 
 
 def nullspace(m: RationalMatrix) -> list[tuple[Fraction, ...]]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .linalg import RationalMatrix, _common, in_column_space, rref_rank
+from .linalg import RationalMatrix, _common, in_column_space
 from .reps import QuadraticForm, Representation, WordEvaluator
 from .words import Word
 
@@ -40,29 +40,30 @@ def _inverse_form_times(form: QuadraticForm, i: int, j: int, sign: int) -> Ratio
     return RationalMatrix.from_numerators(n, n, out, d)
 
 
+def _nu_candidates(form: QuadraticForm) -> tuple[list[tuple[int, int]], list[int], int]:
+    """The pairs (i, j), i <= j, diagonal first, of the candidates
+    Q^-1 (E_ij + E_ji) (Q^-1 E_ii when i == j); their traces on the ints of
+    Q^-1, signed so that the completion's is positive; and the completion,
+    the last candidate of nonzero trace, diagonal if one is. Q^-1 is
+    invertible, so some trace is nonzero."""
+    nums, _ = form.inverse.to_numerators()
+    n = form.size
+    pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    traces = [nums[i * n + j] * (1 if i == j else 2) for i, j in pairs]
+    last = ([k for k in range(n) if traces[k]] or [k for k, t in enumerate(traces) if t])[-1]
+    return pairs, [t if traces[last] > 0 else -t for t in traces], last
+
+
 def nu_basis(form: QuadraticForm) -> list[RationalMatrix]:
     """Exact basis of {V : V^T Q = Q V, tr V = 0}: V = Q^-1 S over the standard
     symmetric basis (diagonal first), projected to traceless combinations
-    against the last candidate of nonzero trace (the last diagonal one when Q
-    is diagonal)."""
-    n1 = form.size
-    candidates = ([_inverse_form_times(form, i, i, 1) for i in range(n1)]
-                  + [_inverse_form_times(form, i, j, 1)
-                     for i in range(n1) for j in range(i + 1, n1)])
-    traced = [(k, v.trace()) for k, v in enumerate(candidates) if v.trace() != 0]
-    if not traced:
-        raise ValueError("degenerate form: no trace completion available")
-    # prefer a diagonal completion element when one exists
-    diag_traced = [(k, t) for k, t in traced if k < n1]
-    last, tl = (diag_traced or traced)[-1]
+    against the completion candidate (see :func:`_nu_candidates`), which is
+    left out."""
+    pairs, traces, last = _nu_candidates(form)
+    candidates = [_inverse_form_times(form, i, j, 1) for i, j in pairs]
     completion = candidates[last]
-    basis = []
-    for k, v in enumerate(candidates):
-        if k == last:
-            continue
-        t = v.trace()
-        basis.append(v if t == 0 else v - completion.scale(t / tl))
-    return basis
+    return [v if t == 0 else v - completion.scale(Fraction(t, traces[last]))
+            for k, (v, t) in enumerate(zip(candidates, traces)) if k != last]
 
 
 def adjoint_basis(form: QuadraticForm) -> list[RationalMatrix]:
@@ -87,21 +88,51 @@ class CoefficientModule:
             self._columns = RationalMatrix.identity(rep.size)
             self.evaluator = rep.evaluator
         else:
-            self.basis = nu_basis(rep.form) if kind == "nu" else adjoint_basis(rep.form)
+            if kind == "nu":
+                self._sign, self.basis = 1, nu_basis(rep.form)
+                self._pairs, self._traces, self._last = _nu_candidates(rep.form)
+            else:
+                self._sign, self.basis = -1, adjoint_basis(rep.form)
+                self._pairs = [(i, j) for i in range(rep.size) for j in range(i + 1, rep.size)]
             self.dimension = len(self.basis)
             self._columns = _as_columns(self.basis)
             self.evaluator = WordEvaluator(
-                {g: self._ad_matrix(rep.image(g), rep.image(g, -1))
-                 for g in rep.presentation.generators}, self.dimension)
+                {(g, e): self._ad_matrix(rep.image(g, e), rep.image(g, -e))
+                 for g in rep.presentation.generators for e in (1, -1)}, self.dimension)
 
     def _ad_matrix(self, m: RationalMatrix, mi: RationalMatrix) -> RationalMatrix:
-        # one elimination for all basis images: RREF of [columns | images]
-        d = self.dimension
-        aug = self._columns.hstack(_as_columns(m * b * mi for b in self.basis))
-        red, rank, pivots = rref_rank(aug)
-        if rank != d or any(p >= d for p in pivots):
+        """Ad(m) in the module basis, read off the form with no elimination.
+
+        V is in the module when Q V is symmetric and V traceless (nu), or Q V
+        is antisymmetric (adjoint); its coordinates are then the entries of
+        Q V at the basis pairs. A candidate at (i, j) has Q V = E_ij + sign E_ji
+        (E_ii when i == j), so Q (m V m^-1) = A (Q V) B, with A = Q m Q^-1 and
+        B = m^-1, has the entries A_pi B_jq + sign A_pj B_iq, here on ints.
+        For nu, column k is tl col_k - t_k col_completion, as in :func:`nu_basis`,
+        and it is traceless when its entries weighted by the traces t sum to 0."""
+        n, q, sign = self.rep.size, self.rep.form, self._sign
+        a, da = (q.matrix * m * q.inverse).to_numerators()
+        b, db = mi.to_numerators()
+        a_cols, b_rows = [a[i::n] for i in range(n)], [b[i * n:(i + 1) * n] for i in range(n)]
+        cols, d, den = [], self.dimension, da * db
+        for i, j in self._pairs:
+            ai, aj, bi, bj = a_cols[i], a_cols[j], b_rows[i], b_rows[j]
+            img = ([x * y for x in ai for y in bi] if i == j else
+                   [x * y + sign * u * v for x, u in zip(ai, aj) for y, v in zip(bj, bi)])
+            if any(img[r * n:r * n + n] != [sign * x for x in img[r::n]] for r in range(n)):
+                raise ValueError("adjoint action does not preserve the module basis")
+            cols.append([img[r * n + c] for r, c in self._pairs])
+        if self.kind == "adjoint":
+            return RationalMatrix.from_numerators(d, d, [c[r] for r in range(d) for c in cols],
+                                                  den)
+        traces, last = self._traces, self._last
+        tl, completion = traces[last], cols[last]
+        weighted = [sum(map(mul, traces, col)) for col in cols]
+        if any(tl * w != t * weighted[last] for w, t in zip(weighted, traces)):
             raise ValueError("adjoint action does not preserve the module basis")
-        return red.submatrix(range(d), range(d, 2 * d))
+        keep = [k for k in range(len(cols)) if k != last]
+        nums = [tl * cols[k][r] - traces[k] * completion[r] for r in keep for k in keep]
+        return RationalMatrix.from_numerators(d, d, nums, den * tl)
 
     def to_coordinates(self, m: RationalMatrix) -> tuple[Fraction, ...]:
         """Coordinates of m in the module basis, read row-major: a matrix of

@@ -52,14 +52,14 @@ CACHE_ENTRIES = 256
 
 class WordEvaluator:
     """Multiplies out words from the letter matrices ``letters[g, +-1]``;
-    GroupRingElems act linearly. Words of at most 12 letters are cached, and
-    the cache is emptied once it holds ``CACHE_ENTRIES`` words, so a long
-    stream of distinct words keeps memory flat."""
+    GroupRingElems act linearly. Words of at most 12 letters are cached with
+    their prefixes (see :meth:`walk`), and the cache is emptied once it holds
+    ``CACHE_ENTRIES`` words, so a long stream of distinct words keeps memory flat."""
 
-    def __init__(self, images: dict[str, RationalMatrix], size: int):
+    def __init__(self, letters: dict[tuple[str, int], RationalMatrix], size: int):
         self.size = size
-        self.letters = {(g, e): m if e == 1 else m.inverse()
-                        for g, m in images.items() for e in (1, -1)}
+        self.letters = letters
+        self._identity = RationalMatrix.identity(size)
         self._cache: dict[tuple, RationalMatrix] = {}
 
     def __call__(self, e) -> RationalMatrix:
@@ -72,14 +72,26 @@ class WordEvaluator:
             raise TypeError(f"cannot evaluate {type(e).__name__}")
         out = self._cache.get(e.letters)
         if out is None:
-            out = RationalMatrix.identity(self.size)
-            for letter in e.letters:
-                out = out * self.letters[letter]
-            if len(e.letters) <= 12:
-                if len(self._cache) >= CACHE_ENTRIES:
-                    self._cache.clear()
-                self._cache[e.letters] = out
+            for out in self.walk(e.letters):
+                pass
         return out
+
+    def walk(self, letters: tuple):
+        """The actions of ``letters[:k]`` for k = 0, 1, ..., as they are asked
+        for: each the one before times its letter, taken from or put in the
+        cache up to 12 letters, so a word costs at most one product a letter."""
+        out = self._identity
+        yield out
+        for k, letter in enumerate(letters, 1):
+            hit = self._cache.get(letters[:k]) if k <= 12 else None
+            if hit is None:
+                hit = out * self.letters[letter] if k > 1 else self.letters[letter]
+                if k <= 12:
+                    if len(self._cache) >= CACHE_ENTRIES:
+                        self._cache.clear()
+                    self._cache[letters[:k]] = hit
+            out = hit
+            yield out
 
 
 class Representation:
@@ -97,7 +109,9 @@ class Representation:
         self.presentation = presentation
         self.images = dict(images)
         self.form = form
-        self.evaluator = WordEvaluator(self.images, size)
+        self.evaluator = WordEvaluator(
+            {(g, e): m if e == 1 else m.inverse()
+             for g, m in self.images.items() for e in (1, -1)}, size)
         self._embedded: Representation | None = None
         self._modules: dict = {}
 
@@ -204,14 +218,17 @@ def validate_representation(rep: Representation) -> ValidationReport:
 
 
 def is_parabolic(m: RationalMatrix) -> bool:
-    """True iff m != I and (m - I)^k = 0 with k = size (unipotent)."""
+    """True iff m != I and (m - I)^n = 0 for the size n (unipotent): the
+    index of nilpotency is at most n, so ceil(log2 n) squarings decide it."""
     if not m.is_square():
         raise ValueError("parabolicity test needs a square matrix")
     n = m.rows
     d = m - RationalMatrix.identity(n)
     if d.is_zero():
         return False
-    return d.power(n).is_zero()
+    for _ in range((n - 1).bit_length()):
+        d = d * d
+    return d.is_zero()
 
 
 class FirstOrderRep:

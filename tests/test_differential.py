@@ -32,7 +32,7 @@ from bendlab.complexes import Angle, BendingComplex, Binding, Incidence, build_s
 from bendlab.linalg import (FloatMatrix, RationalMatrix, in_column_space, nullspace,
                             rank_of_vectors, rref_rank)
 from bendlab.modules import CoefficientModule
-from bendlab.words import Word, fox_derivative
+from bendlab.words import Word, fox_derivative, parse_word
 
 KINDS = ("standard", "nu", "adjoint")
 
@@ -56,9 +56,9 @@ def test_word_row_blocks_are_fox_derivative_actions(kind, spaces, borromean):
             assert block == space.module.action(fox_derivative(w, gen)), (w, gen)
 
 
-def check_walk_against_word_row(space):
+def check_walk_against_word_row(space, words=None):
     rng = random.Random(32)
-    for w in seeded_words(33, 20, max_len=16):
+    for w in seeded_words(33, 20, max_len=16) if words is None else words:
         c = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
              for _ in range(space.g * space.d)]
         assert cocycle_eval(space, c, w) == space.word_row(w).matvec(c), w
@@ -76,6 +76,24 @@ def test_cocycle_walk_matches_word_row_on_a_conjugate(kind, rho, borromean):
     space = conjugated_space(rho, borromean, kind, 38)
     assert any(m.to_numerators()[1] != 1 for m in space.module.evaluator.letters.values())
     check_walk_against_word_row(space)
+
+
+def test_long_word_row_is_one_running_walk(rho, borromean, monkeypatch):
+    # past its cached prefixes a word costs one product per letter; reading
+    # every prefix from scratch would be quadratic in the length
+    space = CocycleSpace(borromean, CoefficientModule(rho, "nu"))
+    w = parse_word("(x y^-1 z)^1000", borromean.generators)
+    assert len(w.letters) == 3000
+    products = []
+    mul = RationalMatrix.__mul__
+
+    def counted(a, b):
+        products.append(None)
+        assert len(products) <= len(w.letters), "more than one product per letter"
+        return mul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__mul__", counted)
+    check_walk_against_word_row(space, [w])
 
 
 def restricted_parabolic_dim(space, word_groups):

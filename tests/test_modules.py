@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bendlab.linalg import RationalMatrix, rank_of_vectors
-from bendlab.modules import CoefficientModule
-from bendlab.reps import QuadraticForm
+from bendlab.acceptance import _conjugator_pool
+from bendlab.linalg import RationalMatrix, rank_of_vectors, rref_rank
+from bendlab.modules import CoefficientModule, _as_columns
+from bendlab.reps import QuadraticForm, Representation
 from bendlab.words import GroupRingElem, Word
 
 
@@ -153,6 +154,79 @@ def test_bases_match_the_inverse_form_products(rho, which):
         assert (b.transpose() * q.matrix + q.matrix * b).is_zero()
     flat = [[m[i, j] for i in range(n) for j in range(n)] for m in nb + ab]
     assert rank_of_vectors(flat) == n * n - 1  # so(Q) + nu spans sl(n)
+
+
+def reference_ad_matrix(module, m, mi):
+    """Ad(m) by elimination: one RREF of [basis columns | images of the basis]."""
+    d = module.dimension
+    aug = _as_columns(module.basis).hstack(_as_columns(m * b * mi for b in module.basis))
+    red, rank, pivots = rref_rank(aug)
+    if rank != d or any(p >= d for p in pivots):
+        raise ValueError("adjoint action does not preserve the module basis")
+    return red.submatrix(range(d), range(d, 2 * d))
+
+
+def moved(rho, s):
+    """rho under the change of basis s: images s m s^-1, form s^-T Q s^-1."""
+    si = s.inverse()
+    return Representation(rho.presentation, {g: s * m * si for g, m in rho.images.items()},
+                          QuadraticForm(si.transpose() * rho.form.matrix * si))
+
+
+def reflections_rep(presentation, form, seed):
+    """Images preserving ``form``: each a product of two reflections
+    x -> x - 2 B(x, v) / B(v, v) v in seeded vectors. The relators need not
+    hold; a module reads only the letters."""
+    rng = random.Random(seed)
+    n = form.size
+    q = form.matrix
+
+    def reflection():
+        while True:
+            v = RationalMatrix.column([rng.randint(-3, 3) for _ in range(n)])
+            norm = (v.transpose() * q * v)[0, 0]
+            if norm:
+                return RationalMatrix.identity(n) - (v * v.transpose() * q).scale(2 / norm)
+
+    return Representation(presentation,
+                          {g: reflection() * reflection() for g in presentation.generators},
+                          form)
+
+
+def ad_cases(rho):
+    antidiagonal = moved(rho, RationalMatrix.from_rows(
+        [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [Fraction(1, 2), 0, 0, Fraction(-1, 2)]]))
+    assert antidiagonal.form.matrix == RationalMatrix.from_rows(
+        [[0, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0]])
+    return ([rho] + [rho.conjugated(u) for u in _conjugator_pool(rho)]
+            + [moved(rho, RationalMatrix.from_rows(
+                [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]])), antidiagonal]
+            + [reflections_rep(rho.presentation, seeded_symmetric_form(seed, n), seed)
+               for seed, n in ((41, 4), (42, 3), (43, 5))])
+
+
+@pytest.mark.parametrize("kind", ["nu", "adjoint"])
+def test_ad_matrices_read_off_the_form_match_the_elimination(rho, kind):
+    # the fixture, its nine pool conjugates, the fixture under a non-diagonal
+    # and under the appendix antidiagonal form, and seeded forms of size 3-5
+    cases = ad_cases(rho)
+    assert len(cases) == 15 and len(_conjugator_pool(rho)) == 9
+    for rep in cases:
+        module = CoefficientModule(rep, kind)
+        for g in rep.presentation.generators:
+            for e in (1, -1):
+                want = reference_ad_matrix(module, rep.image(g, e), rep.image(g, -e))
+                assert module.evaluator.letters[g, e] == want, (g, e)
+
+
+@pytest.mark.parametrize("kind", ["nu", "adjoint"])
+def test_a_form_breaking_image_has_no_adjoint_action(rho, kind):
+    shear = RationalMatrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    broken = Representation(rho.presentation, {**rho.images, "y": shear}, rho.form)
+    with pytest.raises(ValueError, match="adjoint action does not preserve the module basis"):
+        CoefficientModule(broken, kind)
+    with pytest.raises(ValueError, match="adjoint action does not preserve the module basis"):
+        reference_ad_matrix(CoefficientModule(rho, kind), shear, shear.inverse())
 
 
 def test_build_module_rejects_unknown_kind(rho):

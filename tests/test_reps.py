@@ -107,6 +107,22 @@ def test_is_parabolic():
         is_parabolic(RationalMatrix.zeros(2, 3))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_is_parabolic_squares_ceil_log2_n_times(n, monkeypatch):
+    # a unipotent Jordan block, whose m - I has nilpotency index exactly n
+    block = RationalMatrix.from_rows([[int(j in (i, i + 1)) for j in range(n)]
+                                      for i in range(n)])
+    nilpotent = block - RationalMatrix.identity(n)
+    assert not nilpotent.power(n - 1).is_zero() and nilpotent.power(n).is_zero()
+    products = []
+    mul = RationalMatrix.__mul__
+    monkeypatch.setattr(RationalMatrix, "__mul__",
+                        lambda a, b: products.append(None) or mul(a, b))
+    assert is_parabolic(block)
+    assert not is_parabolic(block.scale(2))  # m - I = I + 2N is not nilpotent
+    assert len(products) == 2 * (n - 1).bit_length()
+
+
 def test_meridians_and_longitudes_parabolic(rho, borromean):
     for mu, lam in borromean.cusps:
         assert is_parabolic(rho.evaluate(mu))
