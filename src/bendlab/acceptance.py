@@ -380,8 +380,8 @@ def _conjugator_pool(rep):
     """Exact matrices preserving ``rep``'s form, for conjugation tests: the
     generator images and three inverses, plus the reflection, swap and boost
     of diag(-1, 1, 1, 1) wherever the form admits them."""
-    pool = [rep.images[g] for g in rep.presentation.generators]
-    pool += [m.inverse() for m in pool[:3]]
+    gens = rep.presentation.generators
+    pool = [rep.images[g] for g in gens] + [rep.image(g, -1) for g in gens[:3]]
     flip = RationalMatrix.from_rows([[1, 0, 0, 0], [0, -1, 0, 0],
                                      [0, 0, 1, 0], [0, 0, 0, 1]])
     perm = RationalMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0],

@@ -84,13 +84,12 @@ def centralizer_generator(rep: Representation, datum: BendingDatum) -> RationalM
         raise ValueError(f"centralizer dimension {len(parts)} != 1")
     (kind, vec), = parts
     n1 = rep.size
-    x = rep.module(kind)._columns * RationalMatrix.column(vec)
-    if datum.geometry == "sl":
-        x0 = x.reshape(n1, n1)
-    else:
+    basis = rep.module(kind).basis
+    x0 = sum((b.scale(c) for b, c in zip(basis[1:], vec[1:])), basis[0].scale(vec[0]))
+    if datum.geometry == "so_ext":
         zeros = RationalMatrix.zeros
-        a = x.reshape(n1, n1) if kind == "adjoint" else zeros(n1, n1)
-        nu = x if kind == "standard" else zeros(n1, 1)
+        a = x0 if kind == "adjoint" else zeros(n1, n1)
+        nu = x0 if kind == "standard" else zeros(n1, 1)
         x0 = a.hstack(nu).vstack((-nu.transpose() * rep.form.matrix).hstack(zeros(1, 1)))
     t2 = (x0 * x0).trace()
     if datum.geometry == "sl":

@@ -221,20 +221,6 @@ class RationalMatrix:
             raise ValueError(f"cannot reshape {self.shape} to {(rows, cols)}")
         return RationalMatrix._of(rows, cols, self._n, self._d)
 
-    def power(self, k: int) -> "RationalMatrix":
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            return self.inverse().power(-k)
-        out = RationalMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def inverse(self) -> "RationalMatrix":
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
@@ -428,9 +414,11 @@ class FloatMatrix:
         for c in range(self.cols):
             if r == self.rows:
                 break
-            piv = max(range(r, self.rows), key=lambda i: abs(m[i][c]), default=None)
-            if piv is None or abs(m[piv][c]) <= thr:
+            col = [abs(row[c]) for row in m[r:]]
+            big = max(col)
+            if big <= thr:
                 continue
+            piv = r + col.index(big)
             m[r], m[piv] = m[piv], m[r]
             inv = 1.0 / m[r][c]
             tail = m[r][c:]  # entries left of c are never read again

@@ -14,17 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .linalg import RationalMatrix, _common, in_column_space
+from .linalg import RationalMatrix, _common
 from .reps import QuadraticForm, Representation, WordEvaluator
 from .words import Word
 
 KINDS = ("standard", "nu", "adjoint")
-
-
-def _as_columns(matrices) -> RationalMatrix:
-    """The matrices, each flattened row-major, as the columns of one matrix."""
-    flat = [b.reshape(1, b.rows * b.cols) for b in matrices]
-    return flat[0].vstack(*flat[1:]).transpose()
 
 
 def _inverse_form_times(form: QuadraticForm, i: int, j: int, sign: int) -> RationalMatrix:
@@ -83,22 +77,29 @@ class CoefficientModule:
         self.rep = rep
         self.kind = kind
         if kind == "standard":
-            self.basis = []
-            self.dimension = rep.size
-            self._columns = RationalMatrix.identity(rep.size)
+            n = self.dimension = rep.size
+            self.basis = [RationalMatrix.from_numerators(n, 1, [int(i == k) for i in range(n)])
+                          for k in range(n)]
             self.evaluator = rep.evaluator
         else:
             if kind == "nu":
                 self._sign, self.basis = 1, nu_basis(rep.form)
                 self._pairs, self._traces, self._last = _nu_candidates(rep.form)
             else:
-                self._sign, self.basis = -1, adjoint_basis(rep.form)
+                self._sign, self.basis, self._last = -1, adjoint_basis(rep.form), None
                 self._pairs = [(i, j) for i in range(rep.size) for j in range(i + 1, rep.size)]
             self.dimension = len(self.basis)
-            self._columns = _as_columns(self.basis)
             self.evaluator = WordEvaluator(
                 {(g, e): self._ad_matrix(rep.image(g, e), rep.image(g, -e))
                  for g in rep.presentation.generators for e in (1, -1)}, self.dimension)
+
+    def _pair_entries(self, qv: list, error: str) -> list:
+        """The entries at the basis pairs of Q V, row-major in ``qv``; raises
+        ValueError(error) unless Q V is symmetric (nu) or antisymmetric (adjoint)."""
+        n, sign = self.rep.size, self._sign
+        if any(qv[r * n:r * n + n] != [sign * x for x in qv[r::n]] for r in range(n)):
+            raise ValueError(error)
+        return [qv[r * n + c] for r, c in self._pairs]
 
     def _ad_matrix(self, m: RationalMatrix, mi: RationalMatrix) -> RationalMatrix:
         """Ad(m) in the module basis, read off the form with no elimination.
@@ -111,6 +112,7 @@ class CoefficientModule:
         For nu, column k is tl col_k - t_k col_completion, as in :func:`nu_basis`,
         and it is traceless when its entries weighted by the traces t sum to 0."""
         n, q, sign = self.rep.size, self.rep.form, self._sign
+        error = "adjoint action does not preserve the module basis"
         a, da = (q.matrix * m * q.inverse).to_numerators()
         b, db = mi.to_numerators()
         a_cols, b_rows = [a[i::n] for i in range(n)], [b[i * n:(i + 1) * n] for i in range(n)]
@@ -119,9 +121,7 @@ class CoefficientModule:
             ai, aj, bi, bj = a_cols[i], a_cols[j], b_rows[i], b_rows[j]
             img = ([x * y for x in ai for y in bi] if i == j else
                    [x * y + sign * u * v for x, u in zip(ai, aj) for y, v in zip(bj, bi)])
-            if any(img[r * n:r * n + n] != [sign * x for x in img[r::n]] for r in range(n)):
-                raise ValueError("adjoint action does not preserve the module basis")
-            cols.append([img[r * n + c] for r, c in self._pairs])
+            cols.append(self._pair_entries(img, error))
         if self.kind == "adjoint":
             return RationalMatrix.from_numerators(d, d, [c[r] for r in range(d) for c in cols],
                                                   den)
@@ -129,18 +129,23 @@ class CoefficientModule:
         tl, completion = traces[last], cols[last]
         weighted = [sum(map(mul, traces, col)) for col in cols]
         if any(tl * w != t * weighted[last] for w, t in zip(weighted, traces)):
-            raise ValueError("adjoint action does not preserve the module basis")
+            raise ValueError(error)
         keep = [k for k in range(len(cols)) if k != last]
         nums = [tl * cols[k][r] - traces[k] * completion[r] for r in keep for k in keep]
         return RationalMatrix.from_numerators(d, d, nums, den * tl)
 
     def to_coordinates(self, m: RationalMatrix) -> tuple[Fraction, ...]:
-        """Coordinates of m in the module basis, read row-major: a matrix of
-        the basis's size for nu and adjoint, n+1 entries for standard."""
-        coords = in_column_space(self._columns, m.reshape(1, m.rows * m.cols).row(0))
-        if coords is None:
-            raise ValueError("matrix is not in the module subspace")
-        return coords
+        """Coordinates of m in the module basis, m's entries read row-major:
+        for standard, its n+1 entries; for nu and adjoint, read off the form
+        as in :meth:`_ad_matrix`, the completion's pair left out (nu)."""
+        if self.kind == "standard":
+            return m.reshape(1, self.dimension).row(0)
+        n, error = self.rep.size, "matrix is not in the module subspace"
+        nums, d = (self.rep.form.matrix * m.reshape(n, n)).to_numerators()
+        coords = self._pair_entries(list(nums), error)
+        if self.kind == "nu" and sum(map(mul, self._traces, coords)):
+            raise ValueError(error)
+        return tuple(Fraction(a, d) for k, a in enumerate(coords) if k != self._last)
 
     def action(self, e) -> RationalMatrix:
         """Action matrix of a Word; linear extension over GroupRingElems."""

@@ -128,10 +128,10 @@ class Representation:
 
     def conjugated(self, u: RationalMatrix) -> "Representation":
         """The representation g -> u rho(g) u^-1; raises ValueError unless u
-        preserves the form."""
+        preserves the form, so that u^-1 = Q^-1 u^T Q."""
         if not self.form.preserved_by(u):
             raise ValueError("a conjugator must preserve the form")
-        ui = u.inverse()
+        ui = self.form.inverse * u.transpose() * self.form.matrix
         images = {g: u * m * ui for g, m in self.images.items()}
         return Representation(self.presentation, images, self.form)
 

@@ -11,7 +11,7 @@ from bendlab.bending import (BendingDatum, centralizer_generator, hnn_first_orde
 from bendlab.cohomology import class_span_dim, is_cuspidal
 from bendlab.fixtures import PANTS_TRACE, load_pants
 from bendlab.linalg import RationalMatrix, nullspace, rref_rank
-from bendlab.modules import CoefficientModule, _as_columns, adjoint_basis, nu_basis
+from bendlab.modules import CoefficientModule, adjoint_basis, nu_basis
 from bendlab.reps import (FirstOrderRep, QuadraticForm, Representation, _with_unit,
                           first_order_evaluate)
 from bendlab.words import Presentation, Word
@@ -101,7 +101,8 @@ def wall_centralizer(walls, form: QuadraticForm, geometry: str) -> RationalMatri
     library's error texts, "centralizer dimension N != 1" among them."""
     size = form.size
     algebra = adjoint_basis(form) + (nu_basis(form) if geometry == "sl" else [])
-    columns = _as_columns(algebra)
+    flat = [b.reshape(1, size * size) for b in algebra]
+    columns = flat[0].vstack(*flat[1:]).transpose()
     system = RationalMatrix.zeros(0, len(algebra)).vstack(
         *(_commutator_map(m) * columns for m in walls))
     kernel = nullspace(system)

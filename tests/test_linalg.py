@@ -143,6 +143,44 @@ def test_float_rank_tolerance():
     assert m2.rank() == 2
 
 
+def reference_float_rank(m: FloatMatrix) -> int:
+    """``FloatMatrix.rank`` with each pivot picked by ``max`` over the row
+    indices with a key, which returns the first row of largest magnitude on
+    ties; the elimination arithmetic is the same."""
+    rows = [m.row(i) for i in range(m.rows)]
+    thr = m._threshold()
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        piv = max(range(r, m.rows), key=lambda i: abs(rows[i][c]))
+        if abs(rows[piv][c]) <= thr:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1.0 / rows[r][c]
+        tail = rows[r][c:]
+        for i in range(r + 1, m.rows):
+            f = rows[i][c] * inv
+            if f:
+                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], tail)]
+        r += 1
+    return r
+
+
+def test_float_rank_with_tied_column_maxima():
+    # rows 0 and 3 tie in column 0; row 0 pivots, which leaves 1.2e-9 above
+    # the 1e-9 threshold in row 2, while pivoting on row 3 would leave only
+    # 1e-9 entries and rank 1
+    tie = FloatMatrix(4, 2, [-1.0, 1e-9, 0.0, 1e-9, 0.2, 1e-9, 1.0, 0.0])
+    assert tie.rank() == reference_float_rank(tie) == 2
+    rng = random.Random(29)
+    values = (-1.0, 1.0, -0.5, 0.5, 0.0, 2e-10, -3e-9, 0.1 + 0.2, 0.3)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = FloatMatrix(rows, cols, [rng.choice(values) for _ in range(rows * cols)])
+        assert m.rank() == reference_float_rank(m), m.entries
+
+
 def test_float_rank_tolerance_must_be_positive():
     with pytest.raises(ValueError):
         FloatMatrix(1, 1, [1.0], rank_tolerance=0)

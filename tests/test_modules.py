@@ -4,10 +4,25 @@ from fractions import Fraction
 import pytest
 
 from bendlab.acceptance import _conjugator_pool
-from bendlab.linalg import RationalMatrix, rank_of_vectors, rref_rank
-from bendlab.modules import CoefficientModule, _as_columns
+import bendlab.linalg
+from bendlab.linalg import RationalMatrix, in_column_space, rank_of_vectors, rref_rank
+from bendlab.modules import CoefficientModule
 from bendlab.reps import QuadraticForm, Representation
 from bendlab.words import GroupRingElem, Word
+
+
+def as_columns(matrices) -> RationalMatrix:
+    """The matrices, each flattened row-major, as the columns of one matrix."""
+    flat = [b.reshape(1, b.rows * b.cols) for b in matrices]
+    return flat[0].vstack(*flat[1:]).transpose()
+
+
+def reference_coordinates(module, m):
+    """Coordinates by elimination: solve [basis columns | m flattened]."""
+    coords = in_column_space(as_columns(module.basis), m.reshape(1, m.rows * m.cols).row(0))
+    if coords is None:
+        raise ValueError("matrix is not in the module subspace")
+    return coords
 
 
 def rand_word(rng, gens, max_len=8):
@@ -90,12 +105,14 @@ def test_coordinates_roundtrip(modules):
 
 def test_standard_coordinates_are_the_vector(modules):
     mod = modules["standard"]
+    assert as_columns(mod.basis) == RationalMatrix.identity(4)
     v = [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 5)]
-    assert mod.to_coordinates(RationalMatrix.column(v)) == tuple(v)
-    assert mod.to_coordinates(RationalMatrix.from_rows([v])) == tuple(v)
+    for m in (RationalMatrix.column(v), RationalMatrix.from_rows([v])):
+        assert mod.to_coordinates(m) == reference_coordinates(mod, m) == tuple(v)
     for shape in ((5, 1), (3, 1), (4, 4)):
-        with pytest.raises(ValueError):
-            mod.to_coordinates(RationalMatrix.zeros(*shape))
+        for route in (mod.to_coordinates, lambda m: reference_coordinates(mod, m)):
+            with pytest.raises(ValueError):
+                route(RationalMatrix.zeros(*shape))
 
 
 def test_standard_h0_trivial(modules, borromean):
@@ -159,7 +176,7 @@ def test_bases_match_the_inverse_form_products(rho, which):
 def reference_ad_matrix(module, m, mi):
     """Ad(m) by elimination: one RREF of [basis columns | images of the basis]."""
     d = module.dimension
-    aug = _as_columns(module.basis).hstack(_as_columns(m * b * mi for b in module.basis))
+    aug = as_columns(module.basis).hstack(as_columns(m * b * mi for b in module.basis))
     red, rank, pivots = rref_rank(aug)
     if rank != d or any(p >= d for p in pivots):
         raise ValueError("adjoint action does not preserve the module basis")
@@ -217,6 +234,60 @@ def test_ad_matrices_read_off_the_form_match_the_elimination(rho, kind):
             for e in (1, -1):
                 want = reference_ad_matrix(module, rep.image(g, e), rep.image(g, -e))
                 assert module.evaluator.letters[g, e] == want, (g, e)
+
+
+@pytest.mark.parametrize("kind", ["nu", "adjoint"])
+def test_coordinates_read_off_the_form_match_the_elimination(rho, kind):
+    # the 15 cases above: conjugated basis elements and seeded combinations
+    # have the same coordinates by both routes
+    rng = random.Random(19)
+    for rep in ad_cases(rho):
+        module = CoefficientModule(rep, kind)
+        d = module.dimension
+        inputs = [rep.image(g, e) * b * rep.image(g, -e)
+                  for g in rep.presentation.generators for e in (1, -1) for b in module.basis]
+        for _ in range(5):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]
+            inputs.append(sum((b.scale(c) for b, c in zip(module.basis[1:], coeffs[1:])),
+                              module.basis[0].scale(coeffs[0])))
+            assert module.to_coordinates(inputs[-1]) == tuple(coeffs)
+        for m in inputs:
+            assert module.to_coordinates(m) == reference_coordinates(module, m)
+
+
+@pytest.mark.parametrize("kind", ["nu", "adjoint"])
+def test_non_members_have_no_coordinates_by_either_route(rho, kind):
+    for rep in ad_cases(rho):
+        module, n = CoefficientModule(rep, kind), rep.size
+        e01 = RationalMatrix.from_rows([[int((i, j) == (0, 1)) for j in range(n)]
+                                        for i in range(n)])
+        # Q m = E_01 is neither symmetric nor antisymmetric; m = I has Q m = Q
+        # symmetric (not antisymmetric) and trace n != 0; two wrong entry counts
+        bad = [rep.form.inverse * e01, RationalMatrix.identity(n),
+               RationalMatrix.zeros(n * n + 1, 1), RationalMatrix.zeros(n, n - 1)]
+        for m in bad:
+            for route in (module.to_coordinates, lambda m: reference_coordinates(module, m)):
+                with pytest.raises(ValueError):
+                    route(m)
+        with pytest.raises(ValueError, match="matrix is not in the module subspace"):
+            module.to_coordinates(bad[0])
+
+
+def test_modules_and_coordinates_need_no_elimination(rho, monkeypatch):
+    cases = ad_cases(rho)
+    calls = []
+    eliminate = bendlab.linalg._eliminate
+    monkeypatch.setattr(bendlab.linalg, "_eliminate",
+                        lambda *a, **k: calls.append(None) or eliminate(*a, **k))
+    for rep in cases:
+        g = rep.presentation.generators[0]
+        for kind in ("nu", "adjoint"):
+            module = CoefficientModule(rep, kind)
+            for b in module.basis:
+                module.to_coordinates(rep.image(g) * b * rep.image(g, -1))
+    assert calls == []
+    RationalMatrix.identity(2).rank()  # the counter sees an elimination
+    assert calls == [None]
 
 
 @pytest.mark.parametrize("kind", ["nu", "adjoint"])

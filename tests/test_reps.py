@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bendlab.acceptance import _conjugator_pool
 from bendlab.linalg import RationalMatrix
 from bendlab.reps import (CACHE_ENTRIES, FirstOrderRep, QuadraticForm, Representation,
                           first_order_evaluate, is_parabolic,
@@ -113,7 +114,10 @@ def test_is_parabolic_squares_ceil_log2_n_times(n, monkeypatch):
     block = RationalMatrix.from_rows([[int(j in (i, i + 1)) for j in range(n)]
                                       for i in range(n)])
     nilpotent = block - RationalMatrix.identity(n)
-    assert not nilpotent.power(n - 1).is_zero() and nilpotent.power(n).is_zero()
+    powers = [nilpotent]
+    while len(powers) < n:
+        powers.append(powers[-1] * nilpotent)
+    assert not powers[n - 2].is_zero() and powers[n - 1].is_zero()
     products = []
     mul = RationalMatrix.__mul__
     monkeypatch.setattr(RationalMatrix, "__mul__",
@@ -210,6 +214,22 @@ def test_first_order_matches_the_full_dual_number_loop(rho, borromean, ambient,
         for _ in range(25):
             w = rand_word(rng, gens, 16)
             assert first_order_evaluate(fo, w) == reference_first_order_evaluate(fo, w), w
+
+
+def test_conjugated_inverts_by_the_form(rho):
+    # u^-1 = Q^-1 u^T Q for u preserving Q, equal in lowest terms to the
+    # eliminated inverse; the pool's three inverses are the letters' inverses
+    pool = _conjugator_pool(rho)
+    gens = rho.presentation.generators
+    assert pool[len(gens):len(gens) + 3] == [rho.images[g].inverse() for g in gens[:3]]
+    for u in pool:
+        ui = u.inverse()
+        conj = rho.conjugated(u)
+        for g, m in rho.images.items():
+            assert conj.images[g] == u * m * ui
+    with pytest.raises(ValueError, match="a conjugator must preserve the form"):
+        rho.conjugated(RationalMatrix.from_rows(
+            [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
 def test_embedded_extension_preserves_form(rho):
