@@ -57,6 +57,11 @@ class CocycleSpace:
         Every Fox term is a prefix action, read from the module's walk of the
         word; a positive last letter needs no product after it.
         """
+        return self._row_and_action(w, False)[0]
+
+    def _row_and_action(self, w: Word, action: bool = True):
+        """``word_row(w)`` and, with ``action``, the action of w, both from
+        one walk of the word: the action is its last prefix."""
         d = self.d
         blocks = {g: RationalMatrix.zeros(d, d) for g in self.presentation.generators}
         prefixes = self.module.evaluator.walk(w.letters)
@@ -67,7 +72,10 @@ class CocycleSpace:
             blocks[g] = blocks[g] + prefix if e == 1 else blocks[g] - prefix
             if e == 1 and k < len(w.letters):
                 prefix = next(prefixes)
-        return RationalMatrix.zeros(d, 0).hstack(*blocks.values())
+        if action:
+            for prefix in prefixes:
+                pass
+        return RationalMatrix.zeros(d, 0).hstack(*blocks.values()), prefix
 
     def coboundary(self, alpha) -> tuple[Fraction, ...]:
         return self.coboundary_map.matvec(alpha)
@@ -84,13 +92,16 @@ class CocycleSpace:
         its first d columns: the rows past its pivot rows are zero there, so
         they combine the rows by left-kernel vectors, and together they span
         the left kernel; their word-row parts are the conditions. They depend
-        only on the space and the group, so each group's are built once."""
+        only on the space and the group, so each group's are built once, and
+        each word's action is the end of the walk that gives its word row."""
         key = tuple(group)
         if key in self._conditions:
             return self._conditions[key]
         d = self.d
-        system = self.module.coboundary_map(group).hstack(
-            RationalMatrix.zeros(0, self.g * d).vstack(*(self.word_row(w) for w in group)))
+        word_rows, actions = zip(*(self._row_and_action(w) for w in group))
+        ident = RationalMatrix.identity(d)
+        system = RationalMatrix.zeros(0, d).vstack(*(ident - a for a in actions)).hstack(
+            RationalMatrix.zeros(0, self.g * d).vstack(*word_rows))
         rows, pivots = echelon(system, _stop=d)
         self._conditions[key] = rows.submatrix(range(len(pivots), rows.rows),
                                                range(d, system.cols))

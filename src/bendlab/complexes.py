@@ -216,8 +216,9 @@ def build_system(complex_: BendingComplex, geometry: str,
     rows = [[0] * nw for _ in range(len(terms) * height)]
     for k, binding in enumerate(terms):
         for j, nums, q in binding:
+            scale = d // q  # floats: 1 // 1.0 == 1.0
             for row, a in zip(rows[k * height:(k + 1) * height], nums):
-                row[j] += a * (d // q)  # floats: d // q == 1 // 1.0 == 1.0
+                row[j] += a * scale
     entries = [a for row in rows for a in row]
     if not exact:
         return FloatMatrix(len(rows), nw, entries, rank_tolerance)
@@ -241,13 +242,15 @@ def bending_dimension(complex_: BendingComplex, geometry: str,
                       rank_tolerance: float = DEFAULT_FLOAT_TOLERANCE) -> BendingReport:
     """Kernel dimension of the closure system, the wall/binding count bound
     c_{n-1} - A c_{n-2} (A = 2 for so, 3 for sl), and whether equal weights
-    solve the system."""
+    solve the system: exactly when every row's numerators sum to 0."""
     system = build_system(complex_, geometry, rank_tolerance)
     a = 2 if geometry == "so" else 3
     naive = len(complex_.walls) - a * len(complex_.bindings)
-    ones = [1] * len(complex_.walls)
     if isinstance(system, RationalMatrix):
         nullity = system.cols - system.rank()
-        equal = (system * RationalMatrix.column(ones)).is_zero()
+        nums, _ = system.to_numerators()
+        nc = system.cols
+        equal = not any(sum(nums[i * nc:(i + 1) * nc]) for i in range(system.rows))
         return BendingReport(nullity, naive, equal, True)
+    ones = [1] * len(complex_.walls)
     return BendingReport(system.nullity(), naive, system.kills_vector(ones), False)

@@ -11,13 +11,16 @@ Bareiss 9x slower on high-height closure systems. Its Gauss-Jordan pass runs
 only where a reduced form is read (``rref_rank``, ``nullspace``,
 ``in_column_space``, ``inverse``); ``rank``, ``rank_of_vectors``, ``det`` and
 ``echelon`` run its echelon-only pass, which never reduces above the pivot.
+``rank`` takes the columns with the most zeros first, since a rank does not
+depend on their order; everything that reads pivot columns keeps the order.
 ``Fraction`` appears only at the boundary: the constructor, entries, rows,
 JSON, ``trace``, ``det`` and the vectors returned by ``matvec``, ``nullspace``
 and ``in_column_space``; callers that work on ints read the numerators with
 ``to_numerators`` and build with ``from_numerators``.
 A small float backend exists only for systems whose coefficients are not
 rational (bending complexes with non-exact angles); its ranks are
-tolerance-based and flagged as approximate by callers.
+tolerance-based, take the sparsest columns first too, and are flagged as
+approximate by callers.
 """
 
 from __future__ import annotations
@@ -25,21 +28,28 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 DEFAULT_FLOAT_TOLERANCE = 1e-9
 MAX_EXPONENT = 4300  # Python's default limit on the digits of an int string
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(x) -> Fraction:
     """``Fraction(x)``, except that text in exponent notation whose exponent
     exceeds ``MAX_EXPONENT`` in size is a ``ValueError``: ``Fraction`` would
-    first build ``10**exponent`` in full, seconds of work for ``"1e10000000"``."""
-    if isinstance(x, str) and ("e" in x or "E" in x):
-        m = _EXPONENT.search(x)
-        if m and abs(int(m[1])) > MAX_EXPONENT:
-            raise ValueError(f"exponent beyond {MAX_EXPONENT} in {x[:40]!r}")
+    first build ``10**exponent`` in full, seconds of work for ``"1e10000000"``.
+    Text of the form ``-?[0-9]+(/[0-9]+)?`` is read as two ints, with no
+    ``Fraction(str)`` grammar; any other text goes to ``Fraction(str)``."""
+    if isinstance(x, str):
+        m = _PLAIN.fullmatch(x)
+        if m:
+            return Fraction(int(m[1]), int(m[2] or 1))
+        if "e" in x or "E" in x:
+            m = _EXPONENT.search(x)
+            if m and abs(int(m[1])) > MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {MAX_EXPONENT} in {x[:40]!r}")
     return Fraction(x)
 
 
@@ -135,16 +145,20 @@ class RationalMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self._n, self._d))
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _plus(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """``self + sign * other`` for ``sign`` +-1."""
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         d = lcm(self._d, other._d)
-        p, q = d // self._d, d // other._d
+        p, q = d // self._d, sign * (d // other._d)
         return RationalMatrix._of(self.rows, self.cols,
                                   [p * a + q * b for a, b in zip(self._n, other._n)], d)
 
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + -other
+        return self._plus(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
         return RationalMatrix._of(self.rows, self.cols, [-a for a in self._n], self._d)
@@ -193,10 +207,15 @@ class RationalMatrix:
         return Fraction(sum(self._n[::self.cols + 1]), self._d)
 
     def hstack(self, *others: "RationalMatrix") -> "RationalMatrix":
-        """Join ``self`` and ``others`` side by side: the stacked transposes."""
+        """Join ``self`` and ``others`` side by side, building the result once."""
+        blocks = (self, *others)
         if any(b.rows != self.rows for b in others):
             raise ValueError("row count mismatch")
-        return self.transpose().vstack(*(b.transpose() for b in others)).transpose()
+        d = lcm(*(b._d for b in blocks))
+        parts = [(b._n, b.cols, d // b._d) for b in blocks]
+        return RationalMatrix._of(self.rows, sum(b.cols for b in blocks),
+                                  [s * a for i in range(self.rows) for n, c, s in parts
+                                   for a in n[i * c:(i + 1) * c]], d)
 
     def vstack(self, *others: "RationalMatrix") -> "RationalMatrix":
         """Stack ``self`` above ``others``, building the result once."""
@@ -241,8 +260,10 @@ class RationalMatrix:
         return Fraction(sign * last * prod(contents), self._d ** self.rows)
 
     def rank(self) -> int:
-        """Exact rank, from an echelon-only pass of :func:`_eliminate`."""
-        return len(_eliminate(self, reduce=False)[2])
+        """Exact rank, from an echelon-only pass of :func:`_eliminate` that
+        takes the columns with the most zeros first (see :func:`_sparsest_first`)."""
+        columns = _sparsest_first(self._n, self.cols)
+        return len(_eliminate(self, reduce=False, columns=columns)[2])
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in self.row(i)) + "]"
@@ -260,10 +281,22 @@ class RationalMatrix:
         return cls.from_rows([[parse_rational(str(x)) for x in row] for row in data])
 
 
-def _eliminate(m: RationalMatrix, reduce: bool = True, stop: int | None = None):
+def _sparsest_first(entries, cols: int) -> list[int] | None:
+    """The column indices of the row-major ``entries``, those with the most
+    zeros first and in their order on ties, or None when that is
+    ``range(cols)``. A rank does not depend on the column order; taking the
+    sparsest columns first leaves the fewest rows to update at each pivot."""
+    zeros = [entries[j::cols].count(0) for j in range(cols)]
+    if all(a >= b for a, b in zip(zeros, zeros[1:])):
+        return None
+    return sorted(range(cols), key=zeros.__getitem__, reverse=True)  # stable
+
+
+def _eliminate(m: RationalMatrix, reduce: bool = True, stop: int | None = None,
+               columns: list[int] | None = None):
     """Fraction-free elimination on the numerators (Bareiss 1968), after
     dividing each row by its content so that it is primitive. Columns are
-    taken in order; the pivot row is the candidate with the smallest nonzero
+    taken in order (see ``columns`` below); the pivot row is the candidate with the smallest nonzero
     |entry| in the column (the first on ties; the scan stops at +-1), which
     keeps the multipliers small: a closure system's +-1 rows pivot first.
     Any choice gives the same pivot columns, rank, RREF and det (the swap sign
@@ -278,11 +311,16 @@ def _eliminate(m: RationalMatrix, reduce: bool = True, stop: int | None = None):
     column; without it (echelon only) just the rows below, and only their
     entries from column ``c`` on. The pivots, last pivot and swap sign are the
     same either way. With ``stop`` the pass pivots only in the columns before
-    it. Returns (rows, dens, pivots, last pivot, swap sign, row contents);
-    with ``reduce`` the RREF is ``row / den``.
+    it. With ``columns``, a permutation of the columns, the pass runs on the
+    matrix with its columns in that order, and ``pivots`` index that order.
+    Returns (rows, dens, pivots, last pivot, swap sign, row contents); with
+    ``reduce`` the RREF is ``row / den``.
     """
     nr, nc = m.rows, m.cols
     rows = [m._n[i * nc:(i + 1) * nc] for i in range(nr)]
+    if columns is not None:
+        take = itemgetter(*columns)
+        rows = [take(row) for row in rows]
     contents = [gcd(*row) or 1 for row in rows]  # a zero row keeps content 1
     rows = [[a // g for a in row] for row, g in zip(rows, contents)]
     dens = [1] * nr
@@ -406,9 +444,14 @@ class FloatMatrix:
         return self.rank_tolerance * max(1.0, big)
 
     def rank(self) -> int:
-        """Column-pivoted elimination; entries below the relative threshold
+        """Column-pivoted elimination, the columns with the most zeros first
+        (see :func:`_sparsest_first`); entries below the relative threshold
         count as zero."""
         m = [self.row(i) for i in range(self.rows)]
+        columns = _sparsest_first(self.entries, self.cols)
+        if columns is not None:
+            take = itemgetter(*columns)
+            m = [list(take(row)) for row in m]
         thr = self._threshold()
         r = 0
         for c in range(self.cols):

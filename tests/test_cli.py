@@ -528,3 +528,24 @@ def test_python_dash_m_bendlab_is_the_cli(tmp_path):
     package = run_child("validate", cwd=tmp_path, module="bendlab")
     assert package.returncode == 0, package.stderr
     assert package.stdout == run_child("validate", cwd=tmp_path).stdout
+
+
+# the named angles as exact decimal text, which the reader hands to Fraction(str)
+DECIMAL_ANGLES = {"0": {"cos": "1e0", "sin": "0.0"}, "pi/2": {"cos": "0.0", "sin": "1e0"},
+                  "pi": {"cos": "-1.0", "sin": "0e0"}, "3pi/2": {"cos": "-0.0", "sin": "-1E0"}}
+
+
+@pytest.mark.parametrize("geometry", ["so", "sl"])
+def test_branched_system_reads_decimal_angles_as_the_named_ones(tmp_path, fixture_files,
+                                                               geometry):
+    cx = fixture_complex()
+    for binding in cx["bindings"]:
+        for inc in binding["incidences"]:
+            inc["angle"] = DECIMAL_ANGLES[inc["angle"]]
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(cx))
+    named = run_child("branched-system", fixture_files["complex"], "--geometry", geometry)
+    decimal = run_child("branched-system", str(path), "--geometry", geometry)
+    assert named.returncode == decimal.returncode == 0, decimal.stderr
+    doc = json.loads(decimal.stdout)
+    assert doc == json.loads(named.stdout) and doc["exact"] is True

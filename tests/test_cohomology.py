@@ -232,3 +232,27 @@ def test_cuspidal_defect_reuses_the_per_subgroup_rows(borromean, modules, kind,
     monkeypatch.undo()
     fresh = CocycleSpace(borromean, modules[kind])
     assert got == [fresh.cuspidal_defect(c) for c in z1]
+
+
+def test_long_cusp_words_are_walked_once(borromean, rho, monkeypatch):
+    # words past 12 letters are not cached, so each walk of the 3,000-letter
+    # longitude costs one d x d product a letter; h1_report takes each word's
+    # action from the walk that gives its word row
+    long_lambda = parse_word("(x y^-1 z)^1000", borromean.generators)
+    cusps = ((borromean.cusps[0][0], long_lambda),) + borromean.cusps[1:]
+    pres = Presentation(borromean.generators, borromean.relators, cusps)
+    module = CoefficientModule(Representation(pres, rho.images, rho.form), "nu")
+    d, products = module.dimension, []
+    real = RationalMatrix.__mul__
+
+    def counted(a, b):
+        if a.shape == b.shape == (d, d):
+            products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__mul__", counted)
+    report = h1_report(pres, module, mode="per_subgroup")
+    monkeypatch.undo()
+    letters = sum(len(w.letters) for cusp in cusps for w in cusp)
+    assert len(products) <= letters + 60
+    assert (report.dim_h1, report.dim_pz1) == (EXPECTED["nu"]["h1"], 9)

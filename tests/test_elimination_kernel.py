@@ -12,6 +12,9 @@ the canonical form (denominator positive and coprime to the numerators, 1 for
 zero), which is what makes ``==`` and ``hash`` exact. ``rank()`` and ``det``
 run the kernel's echelon-only pass, which never reduces above the pivot; they
 must equal the reference rank and the plain ``Fraction`` determinant loop.
+``rank()`` (and ``FloatMatrix.rank``) take the columns with the most zeros
+first, so they are checked on sparse matrices, with their columns shuffled,
+and on branched closure systems, whose rows touch few of the wall columns.
 """
 
 import random
@@ -22,8 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bendlab.linalg import (RationalMatrix, _eliminate, echelon, in_column_space, nullspace,
-                            rref_rank)
+from bendlab.complexes import Angle, BendingComplex, Binding, Incidence, build_system
+from bendlab.linalg import (FloatMatrix, RationalMatrix, _eliminate, _sparsest_first, echelon,
+                            in_column_space, nullspace, rref_rank)
 
 
 def ref_rref(rows):
@@ -330,3 +334,92 @@ def test_seeded_least_size_pivots_match_reference():
         if rng.random() < 0.3:  # a dependent row
             rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
         check_against_reference(rows, nc)
+
+
+def test_sparsest_first_order():
+    # zeros per column: 1, 2, 0, 2; the ties keep their order
+    entries = [0, 0, 1, 5,
+               2, 0, 3, 0,
+               4, 6, 7, 0]
+    assert _sparsest_first(entries, 4) == [1, 3, 0, 2]
+    assert _sparsest_first([0, 1, 0, 2], 2) is None  # already sparsest first
+    assert _sparsest_first([1.0, 2.0, 3.0, 4.0], 2) is None  # dense
+    assert _sparsest_first([0.0, -0.0, 1.0, 0.0], 2) == [1, 0]  # -0.0 is a zero
+    assert _sparsest_first([], 0) is None and _sparsest_first([3, 0], 1) is None
+
+
+def shuffled_columns(rng, rows, cols):
+    order = list(range(cols))
+    rng.shuffle(order)
+    return [[r[j] for j in order] for r in rows]
+
+
+def test_sparse_ranks_match_reference_in_any_column_order():
+    rng = random.Random(2026)
+    reordered = 0
+    for _ in range(300):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        rows = random_rows(rng, nr, nc, density=rng.uniform(0.1, 0.5))
+        for j in rng.sample(range(nc), rng.randint(0, nc // 3)):  # zero columns
+            for r in rows:
+                r[j] = Fraction(0)
+        for variant in (rows, shuffled_columns(rng, rows, nc)):
+            m = as_matrix(variant, nc)
+            order = _sparsest_first(m.to_numerators()[0], nc)
+            assert m.rank() == len(ref_rref(variant)[1]), variant
+            if order is not None:  # the pass runs on the columns in that order
+                reordered += 1
+                permuted = as_matrix([[r[j] for j in order] for r in variant], nc)
+                assert (_eliminate(m, reduce=False, columns=order)[:3]
+                        == _eliminate(permuted, reduce=False)[:3])
+    assert reordered > 300  # most of these take a column order of their own
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 0), (0, 1)])
+def test_empty_ranks(shape):
+    nr, nc = shape
+    assert RationalMatrix.zeros(nr, nc).rank() == 0
+    assert FloatMatrix(nr, nc, []).rank() == 0
+
+
+def pythagorean_angle(rng, height):
+    """cos and sin of an angle with both rational: ((m^2 - n^2), 2mn) / (m^2 + n^2)
+    for 0 < n < m <= height, in a random quadrant, the two possibly swapped."""
+    m = rng.randint(2, height)
+    n = rng.randint(1, m - 1)
+    c, s = Fraction(m * m - n * n, m * m + n * n), Fraction(2 * m * n, m * m + n * n)
+    if rng.random() < 0.5:
+        c, s = s, c
+    return rng.choice((1, -1)) * c, rng.choice((1, -1)) * s
+
+
+def closure_complexes(rng):
+    """A 24-36-wall complex with 3-8 incidences per binding at exact
+    Pythagorean angles, and its twin with the same angles as floats."""
+    walls = tuple(f"w{k}" for k in range(rng.choice((24, 28, 32, 36))))
+    height = rng.choice((4, 16, 64))
+    exact, floats = [], []
+    for b in range(len(walls) * 3 // 10):
+        incs, fincs = [], []
+        for k, wall in enumerate(rng.sample(walls, rng.randint(3, 8))):
+            c, s = (Fraction(1), Fraction(0)) if k == 0 else pythagorean_angle(rng, height)
+            sign = 1 if k == 0 else rng.choice((1, -1))
+            incs.append(Incidence(wall, Angle(c, s, True), sign))
+            fincs.append(Incidence(wall, Angle.float_pair(float(c), float(s)), sign))
+        exact.append(Binding(f"b{b}", tuple(incs)))
+        floats.append(Binding(f"b{b}", tuple(fincs)))
+    return BendingComplex(3, walls, tuple(exact)), BendingComplex(3, walls, tuple(floats))
+
+
+def test_closure_system_ranks_match_reference():
+    rng = random.Random(1968)
+    for _ in range(10):
+        cx, twin = closure_complexes(rng)
+        for geometry in ("so", "sl"):
+            system, approx = build_system(cx, geometry), build_system(twin, geometry)
+            assert _sparsest_first(system.to_numerators()[0], system.cols) is not None
+            rows = system.to_rows()
+            rank = len(ref_rref(rows)[1])
+            assert system.rank() == rank
+            assert as_matrix(shuffled_columns(rng, rows, system.cols), system.cols).rank() == rank
+            assert approx.rank() == rank

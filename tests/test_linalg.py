@@ -213,3 +213,22 @@ def test_huge_exponents_are_rejected_before_fraction_expands_them(text):
         parse_rational(text)
     with pytest.raises(ValueError):
         RationalMatrix.from_json([[text]])
+
+
+# Fraction(str)'s grammar differs between interpreters (3.10 rejects "3_0/5",
+# 3.12 and later accept "3 / 5"), so the reader is held to the running one's
+READER_CORPUS = ["3/5", "-12", "10/4", "+3/5", " 3/5 ", "3 / 5", "3_0/5", "\u0663/5", "0.6",
+                 "6e-1", "1/0", "3/-5", "-0/7", "007/3", "3/5\n", "", "/5", "3/", "-", "1//2"]
+
+
+@pytest.mark.parametrize("text", READER_CORPUS + [pytest.param("7" * 5000 + "/3",
+                                                               id="5000-digit numerator")])
+def test_reader_agrees_with_fraction(text):
+    try:
+        want = Fraction(text)
+    except Exception as exc:  # the reader must raise the same type
+        with pytest.raises(type(exc)):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
