@@ -56,8 +56,11 @@ def _require_valid(rep: Representation, what: str) -> None:
 def _emit(document: dict, output: str | None) -> None:
     text = json.dumps(document, indent=2)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc.strerror}") from exc
     print(text)
 
 

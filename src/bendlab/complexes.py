@@ -13,11 +13,11 @@ Each binding contributes rows over the wall-weight variables:
   both a and b are nonzero, so the two sets span the same row space; the
   balanced rows do not depend on n, and the first is all +-1.
 
-Repeated incidences of one wall sum into that wall's column. Exact systems
-are built on ints: each incidence over its angle's denominator q (cos = x/q,
-sin = y/q), and every row over d, the lcm of all the incidences'
-denominators, so an incidence enters as its numerators times d // q. The
-float backend runs the same loop with q = 1.0 and d = 1.
+Repeated incidences of one wall sum into that wall's column. An exact angle
+is stored as ints, cos = x/q and sin = y/q, and exact systems are built on
+them: every row over d, the lcm of all the incidences' denominators, so an
+incidence enters as its numerators times d // q. The float backend runs the
+same loop on x/q and y/q over q = 1.0 and d = 1.
 """
 
 from __future__ import annotations
@@ -25,26 +25,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import DEFAULT_FLOAT_TOLERANCE, FloatMatrix, RationalMatrix, parse_rational
 
-NAMED_ANGLES = {
-    "0": (Fraction(1), Fraction(0)),
-    "pi/2": (Fraction(0), Fraction(1)),
-    "pi": (Fraction(-1), Fraction(0)),
-    "3pi/2": (Fraction(0), Fraction(-1)),
-}
+NAMED_ANGLES = {"0": (1, 0), "pi/2": (0, 1), "pi": (-1, 0), "3pi/2": (0, -1)}
 
 FLOAT_CIRCLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Angle:
-    """An angle stored as its (cos, sin) pair; exact when both are rational."""
+    """An angle as its (cos, sin) pair over one denominator: cos = x/q and
+    sin = y/q. An exact angle holds ints with q > 0 and x^2 + y^2 = q^2, so
+    x/q and y/q are in lowest terms; a float pair holds floats over q = 1.0."""
 
-    cos: Fraction | float
-    sin: Fraction | float
+    x: int | float
+    y: int | float
+    q: int | float
     exact: bool
 
     @classmethod
@@ -52,22 +49,22 @@ class Angle:
         if name not in NAMED_ANGLES:
             raise ValueError(f"unknown angle name {name!r}; "
                              f"known: {sorted(NAMED_ANGLES)}")
-        c, s = NAMED_ANGLES[name]
-        return cls(c, s, True)
+        return cls(*NAMED_ANGLES[name], 1, True)
 
     @classmethod
     def exact_pair(cls, cos, sin) -> "Angle":
         c, s = parse_rational(cos), parse_rational(sin)
-        p, q, u, v = c.numerator, c.denominator, s.numerator, s.denominator
-        if (p * v) ** 2 + (u * q) ** 2 != (q * v) ** 2:  # c^2 + s^2 = 1 on ints
+        x, y, q = c.numerator, s.numerator, c.denominator
+        # c^2 + s^2 = 1 in lowest terms forces one denominator for both
+        if s.denominator != q or x * x + y * y != q * q:
             raise ValueError(f"cos^2 + sin^2 != 1 for ({c}, {s})")
-        return cls(c, s, True)
+        return cls(x, y, q, True)
 
     @classmethod
     def float_pair(cls, cos: float, sin: float) -> "Angle":
         if not abs(cos * cos + sin * sin - 1.0) <= FLOAT_CIRCLE_TOL:  # and nan
             raise ValueError(f"cos^2 + sin^2 != 1 within {FLOAT_CIRCLE_TOL}")
-        return cls(cos, sin, False)
+        return cls(cos, sin, 1.0, False)
 
     @classmethod
     def from_json(cls, data) -> "Angle":
@@ -84,16 +81,16 @@ class Angle:
         return cls.float_pair(float(c), float(s))
 
     def to_json(self):
-        for name, (c, s) in NAMED_ANGLES.items():
-            if self.exact and (self.cos, self.sin) == (c, s):
+        if not self.exact:
+            return {"cos": self.x, "sin": self.y}
+        for name, pair in NAMED_ANGLES.items():
+            if (self.x, self.y) == pair:  # then q = 1
                 return name
-        if self.exact:
-            return {"cos": str(self.cos), "sin": str(self.sin)}
-        return {"cos": self.cos, "sin": self.sin}
+        return {"cos": f"{self.x}/{self.q}", "sin": f"{self.y}/{self.q}"}
 
     @property
     def is_zero(self) -> bool:
-        return self.cos == 1 and self.sin == 0
+        return self.x == self.q and self.y == 0
 
 
 @dataclass(frozen=True)
@@ -156,9 +153,6 @@ class BendingComplex:
                     raise ValueError(f"binding {b.name} references unknown wall "
                                      f"{inc.wall!r}")
 
-    def is_exact(self) -> bool:
-        return all(inc.angle.exact for b in self.bindings for inc in b.incidences)
-
     @classmethod
     def from_json(cls, data: dict) -> "BendingComplex":
         if not (isinstance(data, dict) and isinstance(data.get("walls"), list)
@@ -177,15 +171,13 @@ GEOMETRIES = ("so", "sl")
 
 def _incidence_coefficients(geometry: str, inc: Incidence, exact: bool):
     """One incidence's coefficients in its binding's rows, as numerators over
-    one denominator. With cos = x/q and sin = y/q (ints when ``exact``, else
-    floats over q = 1): so rows x, y over q; sl rows s*q^2, s*(x^2-y^2) and
-    2s*xy over q^2, which are s, s cos 2theta and s sin 2theta."""
-    c, s = inc.angle.cos, inc.angle.sin
-    if exact:
-        q = math.lcm(c.denominator, s.denominator)
-        x, y = c.numerator * (q // c.denominator), s.numerator * (q // s.denominator)
-    else:
-        x, y, q = float(c), float(s), 1.0
+    one denominator. With cos = x/q and sin = y/q (the angle's ints when
+    ``exact``, else the floats x/q and y/q over q = 1): so rows x, y over q;
+    sl rows s*q^2, s*(x^2-y^2) and 2s*xy over q^2, which are s, s cos 2theta
+    and s sin 2theta."""
+    x, y, q = inc.angle.x, inc.angle.y, inc.angle.q
+    if not exact:
+        x, y, q = x / q, y / q, 1.0
     if geometry == "so":
         return (x, y), q
     sign, qq = inc.sign, q * q
@@ -203,9 +195,9 @@ def build_system(complex_: BendingComplex, geometry: str,
     """
     if geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}")
-    exact = complex_.is_exact()
-    if not exact and any(inc.angle.exact for b in complex_.bindings
-                         for inc in b.incidences):
+    kinds = {inc.angle.exact for b in complex_.bindings for inc in b.incidences}
+    exact = False not in kinds
+    if len(kinds) == 2:
         warnings.warn("mixed exact and float angles; falling back to the "
                       "float backend", stacklevel=2)
     idx = {w: k for k, w in enumerate(complex_.walls)}

@@ -259,17 +259,17 @@ def first_order_evaluate(fo: FirstOrderRep, w: Word) -> tuple[RationalMatrix, Ra
     (M1, E1)(M2, E2) = (M1 M2, M1 E2 + E1 M2); a generator inverse contributes
     (M^-1, -M^-1 E M^-1). The term M1 E2 is formed only at letters whose
     derivative is nonzero, and E stays zero, with no products, until the
-    first of them."""
+    first of them. M runs over the word's prefixes from the evaluator's walk."""
     size = fo.base.size
     derivatives = fo._letter_derivatives
-    m = RationalMatrix.identity(size)
+    prefixes = fo.base.evaluator.walk(w.letters)
+    m = next(prefixes)
     e = None
-    for letter in w.letters:
-        mg = fo.base.image(*letter)
+    for letter, after in zip(w.letters, prefixes):
         if e is not None:
-            e = e * mg
+            e = e * fo.base.image(*letter)
         eg = derivatives.get(letter)
         if eg is not None:
             e = m * eg if e is None else e + m * eg
-        m = m * mg
+        m = after
     return m, RationalMatrix.zeros(size, size) if e is None else e

@@ -8,9 +8,11 @@ Grammar accepted by :func:`parse_word`::
     atom := generator | '(' word ')' | '[' word ',' word ']'
 
 ``[a,b]`` is the commutator a b a^-1 b^-1. Whitespace and ``*`` are optional
-separators. ``atom^0`` is legal and yields the empty word. More than
-``MAX_WORD_LETTERS`` letters before free reduction, or brackets nested too
-deeply, raise :class:`WordError`.
+separators. ``atom^0`` is legal and yields the empty word. Brackets nested
+too deeply raise :class:`WordError`, as does a power, commutator or product
+of more than ``MAX_WORD_LETTERS`` letters, counted on its freely reduced
+parts before it is built: ``(x x^-1)^60000`` is the empty word, while
+``[x^50000, y^50000]`` is refused.
 """
 
 from __future__ import annotations

@@ -319,6 +319,15 @@ def test_huge_exponent_entries_exit_two_without_expanding(tmp_path, entry):
     assert done.stderr.startswith("error: bad complex file"), done.stderr
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_exits_two_without_a_traceback(tmp_path, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    done = run_child("validate", "--output", str(target))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"error: cannot write {target}: "), done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("pants", [
     [1],
     {"subgroup": ["x"], "stable": "y"},

@@ -15,9 +15,16 @@ PYTH = [("1", "0"), ("3/5", "4/5"), ("-4/5", "3/5"), ("-3/5", "-4/5"),
         ("8/17", "15/17")]
 
 
+def cos_sin(angle):
+    """The angle's (cos, sin) = (x/q, y/q): Fractions when exact, else floats."""
+    if angle.exact:
+        return Fraction(angle.x, angle.q), Fraction(angle.y, angle.q)
+    return angle.x / angle.q, angle.y / angle.q
+
+
 def double_angle(angle):
     """(cos 2theta, sin 2theta) from the angle's own (cos, sin) pair."""
-    c, s = angle.cos, angle.sin
+    c, s = cos_sin(angle)
     return (c * c - s * s, 2 * c * s)
 
 
@@ -31,7 +38,8 @@ def single_binding(pairs, signs=None):
 
 def test_angle_names_and_pairs():
     a = Angle.named("pi/2")
-    assert (a.cos, a.sin, a.exact) == (0, 1, True)
+    assert (a.x, a.y, a.q, a.exact) == (0, 1, 1, True)
+    assert a != Angle.float_pair(0.0, 1.0)
     with pytest.raises(ValueError):
         Angle.named("pi/3")
     with pytest.raises(ValueError):
@@ -46,9 +54,9 @@ def test_angle_json_roundtrip():
         again = Angle.from_json(a.to_json())
         assert again.exact == a.exact
         if a.exact:
-            assert (again.cos, again.sin) == (a.cos, a.sin)
+            assert again == a
         else:
-            assert math.isclose(again.cos, a.cos) and math.isclose(again.sin, a.sin)
+            assert math.isclose(again.x, a.x) and math.isclose(again.y, a.y)
 
 
 def test_binding_normalization_enforced():
@@ -179,6 +187,14 @@ def test_mixed_angles_warn_and_fall_back_to_float():
     assert isinstance(system, FloatMatrix)
     with pytest.warns(UserWarning):
         assert not bending_dimension(cx, "so").exact
+    # an exact angle enters the float rows as float(Fraction(x, q)), bit for bit
+    exact = [Angle.exact_pair(1, 0), Angle.exact_pair("-12/13", "5/13"),
+             Angle.exact_pair("4/5", "-3/5"), Angle.exact_pair("8/17", "15/17")]
+    mixed = single_binding(exact + [Angle.float_pair(math.cos(2.0), math.sin(2.0))])
+    with pytest.warns(UserWarning):
+        rows = build_system(mixed, "so").entries
+    assert rows[:4] == [float(Fraction(a.x, a.q)) for a in exact]
+    assert rows[5:9] == [float(Fraction(a.y, a.q)) for a in exact]
 
 
 def test_complex_json_roundtrip(bundle):
@@ -201,7 +217,7 @@ def fraction_system(cx, geometry, exact=True):
         block = [[zero] * nw for _ in range(2 if geometry == "so" else 3)]
         for inc in binding.incidences:
             if geometry == "so":
-                coeffs = (inc.angle.cos, inc.angle.sin)
+                coeffs = cos_sin(inc.angle)
             else:
                 c2, s2 = double_angle(inc.angle)
                 coeffs = (inc.sign, inc.sign * c2, inc.sign * s2)
@@ -273,7 +289,7 @@ def test_integer_rows_equal_the_fraction_formulas(n):
             assert system.to_rows() == ref
             twin = BendingComplex(n, cx.walls, tuple(
                 Binding(b.name, tuple(Incidence(i.wall, Angle.float_pair(
-                    float(i.angle.cos), float(i.angle.sin)), i.sign) for i in b.incidences))
+                    i.angle.x / i.angle.q, i.angle.y / i.angle.q), i.sign) for i in b.incidences))
                 for b in cx.bindings))
             approx = build_system(twin, geometry)
             flat = [x for r in fraction_system(twin, geometry, exact=False) for x in r]

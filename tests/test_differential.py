@@ -247,8 +247,8 @@ def seeded_complex_and_float_twin(rng, nwalls, height):
                      else pythagorean_angle(rng, height))
             incs.append(Incidence(wall, angle, rng.choice((1, -1))))
         bindings.append(Binding(f"b{b}", tuple(incs)))
-    twin = [Binding(b.name, tuple(Incidence(i.wall, Angle.float_pair(float(i.angle.cos),
-                                                                       float(i.angle.sin)),
+    twin = [Binding(b.name, tuple(Incidence(i.wall, Angle.float_pair(i.angle.x / i.angle.q,
+                                                                       i.angle.y / i.angle.q),
                                             i.sign) for i in b.incidences))
             for b in bindings]
     return BendingComplex(3, walls, tuple(bindings)), BendingComplex(3, walls, tuple(twin))

@@ -404,7 +404,7 @@ def closure_complexes(rng):
         for k, wall in enumerate(rng.sample(walls, rng.randint(3, 8))):
             c, s = (Fraction(1), Fraction(0)) if k == 0 else pythagorean_angle(rng, height)
             sign = 1 if k == 0 else rng.choice((1, -1))
-            incs.append(Incidence(wall, Angle(c, s, True), sign))
+            incs.append(Incidence(wall, Angle.exact_pair(c, s), sign))
             fincs.append(Incidence(wall, Angle.float_pair(float(c), float(s)), sign))
         exact.append(Binding(f"b{b}", tuple(incs)))
         floats.append(Binding(f"b{b}", tuple(fincs)))

@@ -96,15 +96,16 @@ def test_parse_is_linear_in_the_text():
 @pytest.mark.parametrize("text", [
     "x^99999999999", "x^" + "9" * 5000, f"(x y)^{MAX_WORD_LETTERS // 2 + 1}",
     f"[x^{MAX_WORD_LETTERS // 2}, y]", "[" * 20 + "x,y]" + ",y]" * 19,
-    f"x^{MAX_WORD_LETTERS} y",
+    f"x^{MAX_WORD_LETTERS} y", "[x^50000, y^50000]",
 ], ids=["eleven-digit-power", "long-digit-run", "long-power", "long-commutator",
-        "nested-commutators", "long-product"])
+        "nested-commutators", "long-product", "reduced-parts-long-commutator"])
 def test_parse_rejects_words_past_the_letter_bound(text):
     start = time.perf_counter()
     with pytest.raises(WordError):
         w(text)
     assert time.perf_counter() - start < 2.0
     assert len(w(f"x^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+    assert len(w("(x x^-1)^60000")) == 0  # the group is reduced before the power
 
 
 def test_parse_rejects_deep_brackets_and_non_strings():
