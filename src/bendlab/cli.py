@@ -54,14 +54,16 @@ def _require_valid(rep: Representation, what: str) -> None:
 
 
 def _emit(document: dict, output: str | None) -> None:
+    """Print the document, then write it to ``output``: an unwritable path
+    still exits 2, but the result of the run is on stdout."""
     text = json.dumps(document, indent=2)
+    print(text)
     if output:
         try:
             with open(output, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {output}: {exc.strerror}") from exc
-    print(text)
 
 
 def cmd_validate(args) -> int:

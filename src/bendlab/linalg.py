@@ -3,7 +3,12 @@
 A ``RationalMatrix`` is laid out like FLINT's ``fmpq_mat``: Python int
 numerators over one positive denominator, in lowest terms (the zero matrix has
 denominator 1), so equal matrices have equal fields. Products, sums, scaling,
-stacking and slicing run on the ints and reduce once. All exact elimination
+stacking and slicing run on the ints and reduce once. Products with
+``0 < k*m <= KERNEL_TERMS`` run a straight-line kernel compiled once per
+shape on first use (:func:`_kernel`), 1.9-2.8x faster than the
+``sum(map(mul, ...))`` loop at the 4x4 to 9x9 sizes the module walks use;
+its source, compile time (1.7 ms at 16x16) and ``+`` chains grow with k*m,
+so larger and empty shapes run the loop. All exact elimination
 (rank, RREF, nullspace, solve, inverse, det) runs in one fraction-free kernel,
 :func:`_eliminate`, which first divides each row by its content (the gcd of its
 numerators): over the shared denominator, rows of very different heights made
@@ -27,10 +32,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
 DEFAULT_FLOAT_TOLERANCE = 1e-9
+KERNEL_TERMS = 256  # largest k*m multiplied by a compiled kernel; see _product
 MAX_EXPONENT = 4300  # Python's default limit on the digits of an int string
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 _PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -62,6 +69,38 @@ def _common(xs) -> tuple[list[int], int]:
     fs = [x if isinstance(x, Fraction) else Fraction(x) for x in xs]
     d = lcm(*(x.denominator for x in fs))
     return [x.numerator * (d // x.denominator) for x in fs], d
+
+
+@lru_cache(maxsize=64)
+def _kernel(k: int, m: int):
+    """The product of a flat row-major n x k int matrix ``a`` (any n) and a
+    flat k x m ``b``, as straight-line code compiled on first use: ``b``
+    unpacked into locals once per call, then per row of ``a`` one tuple of m
+    unrolled dot products ``a0*b0 + a1*b{m} + ...``. The generated source
+    holds only index-named identifiers, never any input."""
+    dots = ", ".join(" + ".join(f"a{p} * b{p * m + j}" for p in range(k)) for j in range(m))
+    row = ", ".join(f"a{p}" for p in range(k))
+    source = (f"def kernel(a, b):\n"
+              f"    {', '.join(f'b{t}' for t in range(k * m))}, = b\n"
+              f"    out = []\n"
+              f"    rows = iter(a)\n"
+              f"    for {row}, in zip({'rows, ' * k}):\n"
+              f"        out += ({dots},)\n"
+              f"    return out\n")
+    scope: dict = {}
+    exec(source, scope)
+    return scope["kernel"]
+
+
+def _product(a, b, n: int, k: int, m: int) -> list[int]:
+    """The flat row-major n x m product of the flat int matrices ``a``
+    (n x k) and ``b`` (k x m): a compiled :func:`_kernel` when
+    ``0 < k*m <= KERNEL_TERMS``, else the plain loop (see the module docstring)."""
+    if 0 < k * m <= KERNEL_TERMS:
+        return _kernel(k, m)(a, b)
+    arows = [a[i * k:(i + 1) * k] for i in range(n)]
+    bcols = [b[j::m] for j in range(m)]
+    return [sum(map(mul, r, c)) for r in arows for c in bcols]
 
 
 class RationalMatrix:
@@ -171,20 +210,16 @@ class RationalMatrix:
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        k, m = self.cols, other.cols
-        arows = [self._n[i * k:(i + 1) * k] for i in range(self.rows)]
-        bcols = [other._n[j::m] for j in range(m)]
-        return RationalMatrix._of(self.rows, m,
-                                  [sum(map(mul, a, b)) for a in arows for b in bcols],
+        return RationalMatrix._of(self.rows, other.cols,
+                                  _product(self._n, other._n, self.rows, self.cols, other.cols),
                                   self._d * other._d)
 
     def matvec(self, vec) -> tuple[Fraction, ...]:
         xs, e = _common(vec)
         if len(xs) != self.cols:
             raise ValueError("vector length mismatch")
-        k, d = self.cols, self._d * e
-        return tuple(Fraction(sum(map(mul, self._n[i * k:(i + 1) * k], xs)), d)
-                     for i in range(self.rows))
+        d = self._d * e
+        return tuple(Fraction(a, d) for a in _product(self._n, xs, self.rows, self.cols, 1))
 
     def transpose(self) -> "RationalMatrix":
         c = self.cols

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .linalg import RationalMatrix, _common
+from .linalg import RationalMatrix, _common, _product
 from .reps import QuadraticForm, Representation, WordEvaluator
 from .words import Word
 
@@ -170,7 +170,7 @@ class CoefficientModule:
                 s = den // q
                 v = [a - s * b for a, b in zip(v, at[g])]
             m, md = letters[g, e].to_numerators()
-            v = [sum(map(mul, m[i * d:(i + 1) * d], v)) for i in range(d)]
+            v = _product(m, v, d, d, 1)
             den *= md
             if e == 1:
                 s = den // q

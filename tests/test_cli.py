@@ -14,6 +14,8 @@ from bendlab.fixtures import DATA
 from bendlab.linalg import RationalMatrix
 from bendlab.words import parse_word
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def bundled_json(name):
     return json.loads((DATA / name).read_text())
@@ -326,6 +328,7 @@ def test_unwritable_output_exits_two_without_a_traceback(tmp_path, where):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith(f"error: cannot write {target}: "), done.stderr
     assert "Traceback" not in done.stderr
+    assert done.stdout == (GOLDEN / "validate.json").read_text()
 
 
 @pytest.mark.parametrize("pants", [

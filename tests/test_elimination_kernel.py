@@ -15,19 +15,29 @@ must equal the reference rank and the plain ``Fraction`` determinant loop.
 ``rank()`` (and ``FloatMatrix.rank``) take the columns with the most zeros
 first, so they are checked on sparse matrices, with their columns shuffled,
 and on branched closure systems, whose rows touch few of the wall columns.
+Small integer products run compiled straight-line kernels; they are checked
+against the ``sum(map(mul, ...))`` loop they replaced, on both sides of
+``KERNEL_TERMS``, and the module cocycle walk against its per-letter
+``Fraction`` formula.
 """
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bendlab.complexes import Angle, BendingComplex, Binding, Incidence, build_system
-from bendlab.linalg import (FloatMatrix, RationalMatrix, _eliminate, _sparsest_first, echelon,
-                            in_column_space, nullspace, rref_rank)
+from bendlab.linalg import (KERNEL_TERMS, FloatMatrix, RationalMatrix, _eliminate, _kernel,
+                            _product, _sparsest_first, echelon, in_column_space, nullspace,
+                            rref_rank)
+from bendlab.words import Word
 
 
 def ref_rref(rows):
@@ -423,3 +433,87 @@ def test_closure_system_ranks_match_reference():
             assert system.rank() == rank
             assert as_matrix(shuffled_columns(rng, rows, system.cols), system.cols).rank() == rank
             assert approx.rank() == rank
+
+
+def loop_product(a, b, n, k, m):
+    """The product loop the compiled kernels replaced: the flat n x m product
+    of the flat row-major int matrices a (n x k) and b (k x m)."""
+    arows = [a[i * k:(i + 1) * k] for i in range(n)]
+    bcols = [b[j::m] for j in range(m)]
+    return [sum(map(mul, r, c)) for r in arows for c in bcols]
+
+
+def random_ints(rng, count):
+    bits = rng.choice((1, 4, 20, 70))
+    return [rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.8 else 0
+            for _ in range(count)]
+
+
+def test_products_match_the_loop_on_both_sides_of_the_bound():
+    rng = random.Random(2323)
+    shapes = [(rng.randint(0, 8), rng.randint(0, 20), rng.randint(0, 20)) for _ in range(286)]
+    shapes += [(n, k, m) for n in (0, 3) for k, m in
+               ((16, 16), (1, 256), (256, 1), (1, 257), (257, 1), (13, 20), (0, 5))]
+    sides = set()
+    for n, k, m in shapes:
+        a, b = tuple(random_ints(rng, n * k)), tuple(random_ints(rng, k * m))
+        want = loop_product(a, b, n, k, m)
+        before = _kernel.cache_info()
+        assert _product(a, b, n, k, m) == want, (n, k, m)
+        after = _kernel.cache_info()
+        compiled = 0 < k * m <= KERNEL_TERMS
+        assert (after.hits + after.misses > before.hits + before.misses) == compiled
+        sides.add(compiled)
+        da, db = rng.choice((1, 3, (1 << 61) - 1)), rng.choice((1, 10**19 + 7))
+        ma = RationalMatrix.from_numerators(n, k, a, da)
+        mb = RationalMatrix.from_numerators(k, m, b, db)
+        (an, ad), (bn, bd) = ma.to_numerators(), mb.to_numerators()
+        got = ma * mb
+        assert got == RationalMatrix.from_numerators(n, m, loop_product(an, bn, n, k, m), ad * bd)
+        assert_canonical(got)
+        x = random_ints(rng, k)
+        assert ma.matvec(x) == tuple(Fraction(v, ad) for v in loop_product(an, x, n, k, 1))
+    assert sides == {True, False}
+
+
+def ref_cocycle_value(module, c, w):
+    """c(w) by the per-letter formula on Fraction entries: c(g v) = c(g) + g.c(v),
+    c(g^-1 v) = g^-1.(c(v) - c(g)), walking w from the right."""
+    d = module.dimension
+    at = {g: c[k * d:(k + 1) * d] for k, g in enumerate(module.rep.presentation.generators)}
+    v = [Fraction(0)] * d
+    for g, e in reversed(w.letters):
+        if e == -1:
+            v = [a - b for a, b in zip(v, at[g])]
+        rows = module.evaluator.letters[g, e].to_rows()
+        v = [sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in rows]
+        if e == 1:
+            v = [a + b for a, b in zip(v, at[g])]
+    return tuple(v)
+
+
+def test_cocycle_walk_matches_the_per_letter_formula(modules):
+    rng = random.Random(4040)
+    for kind, module in modules.items():
+        gens = module.rep.presentation.generators
+        for _ in range(12):
+            c = [Fraction(rng.randint(-(1 << 40), 1 << 40), rng.choice((1, 2, 9, 2**31 - 1)))
+                 for _ in range(module.dimension * len(gens))]
+            w = Word([(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 40))])
+            assert module.cocycle_value(c, w) == ref_cocycle_value(module, c, w), kind
+
+
+def test_kernels_are_compiled_on_first_use_and_reused():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import bendlab, bendlab.fixtures; "
+             "print(bendlab.linalg._kernel.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+    a = RationalMatrix.from_rows([[i - j * j for j in range(4)] for i in range(4)])
+    a * a
+    before = _kernel.cache_info()
+    for _ in range(3):
+        a * a
+    after = _kernel.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
