@@ -8,17 +8,20 @@ auxiliary vector per word); the cuspidal subspace shares one auxiliary vector
 per cusp across its meridian and longitude.
 
 Both reduce to one test: c restricted to a group of words is a coboundary
-there when the stacked values (c(w))_w lie in the image of
-``CoefficientModule.coboundary_map``, i.e. are killed by its left kernel. That
-left kernel times the stacked ``word_row``s gives exact condition rows over c.
-PZ^1 is the kernel of those rows stacked under the Fox Jacobian: one rank,
-on the Jacobian's free columns. A cusp is cuspidal-trivial when its rows kill c.
+there when the stacked values (c(w))_w lie in the image of the stacked map
+A = [I - w]_w, i.e. are killed by its left kernel. That left kernel is the
+nullspace of A^T, read in closed form off the RREF of A^T, and it times the
+stacked ``word_row``s gives exact condition rows over c. PZ^1 is the kernel
+of those rows stacked under the Fox Jacobian: one rank, on the H^1
+coordinates only, since the rows vanish on coboundaries. A cusp is
+cuspidal-trivial when its rows kill c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .linalg import RationalMatrix, echelon, rref_rank
 from .modules import CoefficientModule
@@ -31,7 +34,17 @@ MODES = ("none", "per_element", "per_subgroup")
 class CocycleSpace:
     """The Fox Jacobian J of a presentation with module coefficients, whose
     kernel is Z^1, and the coboundary map delta, whose columns span B^1.
-    Every dimension is an echelon rank of one of the two."""
+    Every dimension is an echelon rank of one of the two.
+
+    A cocycle is fixed by its entries at J's free columns. dim B^1 is the
+    rank of delta^T taken with those free columns first; the free columns
+    that do not pivot there are the H^1 coordinates, which together with
+    B^1 span Z^1. Coboundaries meet every group's condition (alpha = a), so
+    the parabolic conditions are ranked on the H^1 coordinates alone. That
+    needs B^1 inside Z^1, which holds when the representation kills its
+    relators. dim Z^1, dim B^1 and dim H^0 do not depend on it; on a
+    representation that fails validation dim PZ^1 has no meaning (the CLI
+    refuses one before computing)."""
 
     def __init__(self, presentation: Presentation, module: CoefficientModule):
         self.presentation = presentation
@@ -42,13 +55,17 @@ class CocycleSpace:
             *(self.word_row(r) for r in presentation.relators))
         self.coboundary_map = module.coboundary_map(
             [Word.generator(g) for g in presentation.generators])
-        self._echelon, pivots = echelon(self.jacobian)  # J's RREF starts from it
-        self.dim_z1 = self.jacobian.cols - len(pivots)
-        self.dim_b1 = self.coboundary_map.rank()
+        self._echelon, self._pivots = echelon(self.jacobian)  # J's RREF starts from it
+        free = [c for c in range(self.jacobian.cols) if c not in self._pivots]
+        _, taken = echelon(self.coboundary_map.submatrix(
+            free + self._pivots, range(self.d)).transpose())
+        self.dim_z1 = len(free)
+        self.dim_b1 = len(taken)
         self.dim_h0 = self.d - self.dim_b1
         self.dim_h1 = self.dim_z1 - self.dim_b1
+        self._h1 = [c for k, c in enumerate(free) if k not in taken]  # H^1 coordinates
         self._conditions = {}  # tuple(group) -> its coboundary conditions
-        self._kernel = None  # J's pivot and free columns, and R at the free ones
+        self._kernel = None  # J's RREF R at the H^1 coordinates
 
     def word_row(self, w: Word) -> RationalMatrix:
         """d x (g*d) matrix evaluating c(w) from generator values: block i is
@@ -61,21 +78,32 @@ class CocycleSpace:
 
     def _row_and_action(self, w: Word, action: bool = True):
         """``word_row(w)`` and, with ``action``, the action of w, both from
-        one walk of the word: the action is its last prefix."""
+        one walk of the word: the action is its last prefix. Each block sums
+        its generator's signed prefixes on their numerators over one common
+        denominator, and the row is built once from them."""
         d = self.d
-        blocks = {g: RationalMatrix.zeros(d, d) for g in self.presentation.generators}
+        terms = {g: [] for g in self.presentation.generators}  # (sign, numerators, den)
         prefixes = self.module.evaluator.walk(w.letters)
         prefix = next(prefixes)
         for k, (g, e) in enumerate(w.letters, 1):
             if e == -1:
                 prefix = next(prefixes)
-            blocks[g] = blocks[g] + prefix if e == 1 else blocks[g] - prefix
+            terms[g].append((e, *prefix.to_numerators()))
             if e == 1 and k < len(w.letters):
                 prefix = next(prefixes)
         if action:
             for prefix in prefixes:
                 pass
-        return RationalMatrix.zeros(d, 0).hstack(*blocks.values()), prefix
+        den = lcm(*(q for signed in terms.values() for _, _, q in signed))
+        blocks = []
+        for signed in terms.values():
+            block = [0] * (d * d)
+            for e, nums, q in signed:
+                s = e * (den // q)
+                block = [a + s * b for a, b in zip(block, nums)]
+            blocks.append(block)
+        row = [a for r in range(0, d * d, d) for block in blocks for a in block[r:r + d]]
+        return RationalMatrix.from_numerators(d, self.g * d, row, den), prefix
 
     def coboundary(self, alpha) -> tuple[Fraction, ...]:
         return self.coboundary_map.matvec(alpha)
@@ -88,23 +116,26 @@ class CocycleSpace:
         c(w) = (I - w).alpha for every w in the group: the system is solvable
         when its right-hand side is killed by the left kernel of its matrix.
 
-        One echelon-only pass over [I - w | word_row(w)]_w that pivots only in
-        its first d columns: the rows past its pivot rows are zero there, so
-        they combine the rows by left-kernel vectors, and together they span
-        the left kernel; their word-row parts are the conditions. They depend
-        only on the space and the group, so each group's are built once, and
-        each word's action is the end of the walk that gives its word row."""
+        That left kernel is the nullspace of A^T, for A = [I - w]_w stacked.
+        With (R, pivots) the RREF of A^T, it has the basis
+        e_f - sum_r R[r, f] e_(pivot r) over the free columns f, so with W
+        the stacked word rows the conditions are W_free - R_free^T W_pivot:
+        one d x (k*d) Gauss-Jordan and one product. They depend only on the
+        space and the group, so each group's are built once, and each word's
+        action is the end of the walk that gives its word row."""
         key = tuple(group)
         if key in self._conditions:
             return self._conditions[key]
         d = self.d
         word_rows, actions = zip(*(self._row_and_action(w) for w in group))
         ident = RationalMatrix.identity(d)
-        system = RationalMatrix.zeros(0, d).vstack(*(ident - a for a in actions)).hstack(
-            RationalMatrix.zeros(0, self.g * d).vstack(*word_rows))
-        rows, pivots = echelon(system, _stop=d)
-        self._conditions[key] = rows.submatrix(range(len(pivots), rows.rows),
-                                               range(d, system.cols))
+        red, rank, pivots = rref_rank(
+            RationalMatrix.zeros(0, d).vstack(*(ident - a for a in actions)).transpose())
+        free = [c for c in range(red.cols) if c not in pivots]
+        words = RationalMatrix.zeros(0, self.g * d).vstack(*word_rows)
+        every = range(words.cols)
+        self._conditions[key] = (words.submatrix(free, every) - red.submatrix(
+            range(rank), free).transpose() * words.submatrix(pivots, every))
         return self._conditions[key]
 
     def parabolic_kernel_dim(self, word_groups) -> int:
@@ -112,17 +143,16 @@ class CocycleSpace:
         c(w) = (I - w).alpha for every w in the group}: the nullity of the
         Jacobian J stacked over every group's coboundary conditions C. A cocycle
         has c_pivot = -R_free c_free on J's RREF R (taken once per space, from
-        J's echelon rows), so that is #free less the rank of C_free - C_pivot R_free."""
+        J's echelon rows), and C vanishes on B^1, so that is dim Z^1 less the
+        rank of C_h1 - C_pivot R_h1 on the H^1 coordinates (see the class)."""
         if self._kernel is None:
-            red, rank, pivots = rref_rank(self._echelon)
-            free = [c for c in range(self.jacobian.cols) if c not in pivots]
-            self._kernel = pivots, free, red.submatrix(range(rank), free)
-        pivots, free, r_free = self._kernel
+            red, rank, _ = rref_rank(self._echelon)
+            self._kernel = red.submatrix(range(rank), self._h1)
         conditions = RationalMatrix.zeros(0, self.jacobian.cols).vstack(
             *(self._coboundary_conditions(group) for group in word_groups))
         rows = range(conditions.rows)
-        return len(free) - (conditions.submatrix(rows, free)
-                            - conditions.submatrix(rows, pivots) * r_free).rank()
+        return self.dim_z1 - (conditions.submatrix(rows, self._h1)
+                              - conditions.submatrix(rows, self._pivots) * self._kernel).rank()
 
     def cuspidal_defect(self, c) -> list[bool]:
         """Per cusp: True when the restricted class is trivial there, i.e. one

@@ -16,8 +16,9 @@ Bareiss 9x slower on high-height closure systems. Its Gauss-Jordan pass runs
 only where a reduced form is read (``rref_rank``, ``nullspace``,
 ``in_column_space``, ``inverse``); ``rank``, ``rank_of_vectors``, ``det`` and
 ``echelon`` run its echelon-only pass, which never reduces above the pivot.
-``rank`` takes the columns with the most zeros first, since a rank does not
-depend on their order; everything that reads pivot columns keeps the order.
+``rank`` eliminates the shorter side (the transpose of a tall matrix) and
+takes the columns with the most zeros first, since a rank depends on
+neither; everything that reads pivot columns keeps the order.
 ``Fraction`` appears only at the boundary: the constructor, entries, rows,
 JSON, ``trace``, ``det`` and the vectors returned by ``matvec``, ``nullspace``
 and ``in_column_space``; callers that work on ints read the numerators with
@@ -33,7 +34,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from operator import itemgetter, mul
 
 DEFAULT_FLOAT_TOLERANCE = 1e-9
@@ -295,10 +296,12 @@ class RationalMatrix:
         return Fraction(sign * last * prod(contents), self._d ** self.rows)
 
     def rank(self) -> int:
-        """Exact rank, from an echelon-only pass of :func:`_eliminate` that
-        takes the columns with the most zeros first (see :func:`_sparsest_first`)."""
-        columns = _sparsest_first(self._n, self.cols)
-        return len(_eliminate(self, reduce=False, columns=columns)[2])
+        """Exact rank, from an echelon-only pass of :func:`_eliminate` over
+        the shorter side, rank(m) = rank(m^T), that takes the columns with
+        the most zeros first (see :func:`_sparsest_first`)."""
+        m = self.transpose() if self.rows > self.cols else self
+        columns = _sparsest_first(m._n, m.cols)
+        return len(_eliminate(m, reduce=False, columns=columns)[2])
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in self.row(i)) + "]"
@@ -327,8 +330,7 @@ def _sparsest_first(entries, cols: int) -> list[int] | None:
     return sorted(range(cols), key=zeros.__getitem__, reverse=True)  # stable
 
 
-def _eliminate(m: RationalMatrix, reduce: bool = True, stop: int | None = None,
-               columns: list[int] | None = None):
+def _eliminate(m: RationalMatrix, reduce: bool = True, columns: list[int] | None = None):
     """Fraction-free elimination on the numerators (Bareiss 1968), after
     dividing each row by its content so that it is primitive. Columns are
     taken in order (see ``columns`` below); the pivot row is the candidate with the smallest nonzero
@@ -345,9 +347,9 @@ def _eliminate(m: RationalMatrix, reduce: bool = True, stop: int | None = None,
     With ``reduce`` (Gauss-Jordan) every other row is cleared in the pivot
     column; without it (echelon only) just the rows below, and only their
     entries from column ``c`` on. The pivots, last pivot and swap sign are the
-    same either way. With ``stop`` the pass pivots only in the columns before
-    it. With ``columns``, a permutation of the columns, the pass runs on the
-    matrix with its columns in that order, and ``pivots`` index that order.
+    same either way. With ``columns``, a permutation of the columns, the pass
+    runs on the matrix with its columns in that order, and ``pivots`` index
+    that order.
     Returns (rows, dens, pivots, last pivot, swap sign, row contents); with
     ``reduce`` the RREF is ``row / den``.
     """
@@ -361,7 +363,7 @@ def _eliminate(m: RationalMatrix, reduce: bool = True, stop: int | None = None,
     dens = [1] * nr
     pivots: list[int] = []
     prev, sign, r = 1, 1, 0
-    for c in range(nc if stop is None else stop):
+    for c in range(nc):
         if r == nr:
             break
         piv, best = None, 0
@@ -411,16 +413,14 @@ def rref_rank(m: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     return RationalMatrix._of(m.rows, m.cols, nums, d), len(pivots), pivots
 
 
-def echelon(m: RationalMatrix, _stop: int | None = None) -> tuple[RationalMatrix, list[int]]:
+def echelon(m: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
     """The nonzero rows of a row echelon form of ``m``, each an integer
     multiple of a combination of the rows of ``m``, and their pivot columns,
     from one echelon-only pass of :func:`_eliminate`. The rows span the row
-    space of ``m`` but are not reduced above the pivots nor scaled to 1.
-    With ``_stop`` only the columns before it pivot, and the nonzero rows
-    past the pivot rows, zero there, follow them."""
-    rows, _, pivots, _, _, _ = _eliminate(m, reduce=False, stop=_stop)
-    kept = rows[:len(pivots)] + [row for row in rows[len(pivots):] if any(row)]
-    return RationalMatrix._of(len(kept), m.cols, [a for row in kept for a in row]), pivots
+    space of ``m`` but are not reduced above the pivots nor scaled to 1."""
+    rows, _, pivots, _, _, _ = _eliminate(m, reduce=False)
+    return RationalMatrix._of(len(pivots), m.cols,
+                              [a for row in rows[:len(pivots)] for a in row]), pivots
 
 
 def nullspace(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -461,8 +461,8 @@ class FloatMatrix:
     __slots__ = ("rows", "cols", "entries", "rank_tolerance")
 
     def __init__(self, rows, cols, entries, rank_tolerance=DEFAULT_FLOAT_TOLERANCE):
-        if rank_tolerance <= 0:
-            raise ValueError("rank_tolerance must be positive")
+        if not 0 < rank_tolerance < inf:  # also rejects nan
+            raise ValueError("rank_tolerance must be positive and finite")
         entries = [float(x) for x in entries]
         if len(entries) != rows * cols:
             raise ValueError("entry count mismatch")

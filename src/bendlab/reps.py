@@ -158,6 +158,8 @@ class Representation:
     def from_json(cls, data: dict, presentation: Presentation) -> "Representation":
         if not isinstance(data, dict) or not isinstance(data.get("images"), dict):
             raise ValueError('a representation is a JSON object with an "images" object')
+        if "form" not in data:
+            raise ValueError('a representation needs a "form" matrix')
         form = QuadraticForm.from_json(data["form"])
         images = {g: RationalMatrix.from_json(m) for g, m in data["images"].items()}
         return cls(presentation, images, form)

@@ -103,16 +103,23 @@ class Word:
 
 
 class GroupRingElem:
-    """Finite integer combination of words: an element of the group ring."""
+    """Finite integer combination of words: an element of the group ring.
+    Integral coefficients of any type are kept as ints; any other is a
+    ValueError, never truncated."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         for w, c in (terms or {}).items():
-            c = int(c)
-            if c:
-                clean[w] = c
+            try:
+                n = int(c)
+            except (OverflowError, ValueError):  # inf, nan
+                n = None
+            if n != c:
+                raise ValueError(f"group ring coefficient {c!r} is not an integer")
+            if n:
+                clean[w] = n
         self.terms = clean
 
     @classmethod

@@ -78,6 +78,7 @@ def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     {"form": [["1"]], "images": {"x": 5}},
     {"form": [], "images": {"x": [], "y": [], "z": []}},
     {"form": [["1"]], "images": {"x": [["1"]], "y": [["1"]], "z": [["1"]]}},
+    {"images": {"x": [["1"]], "y": [["1"]], "z": [["1"]]}},
 ])
 def test_validate_malformed_representation_is_input_error(tmp_path, rep):
     path = tmp_path / "rep.json"
@@ -88,6 +89,8 @@ def test_validate_malformed_representation_is_input_error(tmp_path, rep):
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: bad representation file")
+    if isinstance(rep, dict) and "form" not in rep:  # named, not a KeyError repr
+        assert 'needs a "form" matrix' in done.stderr
 
 
 def test_cohomology_r31(capsys, fixture_files, tmp_path):

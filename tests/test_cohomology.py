@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from bendlab import cohomology
+from bendlab.acceptance import _conjugator_pool
 from bendlab.cohomology import (CocycleSpace, class_span_dim, cocycle_eval,
                                 default_parabolic_words, h1_report,
                                 peripheral_invariant_dims, scannell_check)
-from bendlab.linalg import RationalMatrix, nullspace, rref_rank
+from bendlab.linalg import RationalMatrix, in_column_space, nullspace, rref_rank
 from bendlab.modules import CoefficientModule
-from bendlab.reps import QuadraticForm, Representation
+from bendlab.reps import QuadraticForm, Representation, validate_representation
 from bendlab.words import Presentation, Word, parse_word
 
 EXPECTED = {
@@ -223,8 +224,8 @@ def test_cuspidal_defect_reuses_the_per_subgroup_rows(borromean, modules, kind,
     space = CocycleSpace(borromean, modules[kind])
     h1_report(borromean, modules[kind], mode="per_subgroup", space=space)
     calls = []
-    real = cohomology.echelon
-    monkeypatch.setattr(cohomology, "echelon",
+    real = cohomology.rref_rank
+    monkeypatch.setattr(cohomology, "rref_rank",
                         lambda m: calls.append(m.shape) or real(m))
     z1 = nullspace(space.jacobian)
     got = [space.cuspidal_defect(c) for c in z1]
@@ -256,3 +257,96 @@ def test_long_cusp_words_are_walked_once(borromean, rho, monkeypatch):
     letters = sum(len(w.letters) for cusp in cusps for w in cusp)
     assert len(products) <= letters + 60
     assert (report.dim_h1, report.dim_pz1) == (EXPECTED["nu"]["h1"], 9)
+
+
+def fraction_rank(rows) -> int:
+    """Rank by plain Gauss-Jordan on Fraction entries, independent of linalg."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = row[c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.fixture(scope="module")
+def second_route_spaces(rho):
+    """Per kind, the spaces of the fixture, its nine pool conjugates and the
+    trivial representation (every image I, so H^0 is the whole module)."""
+    pres = rho.presentation
+    trivial = Representation(pres, {g: RationalMatrix.identity(rho.size)
+                                    for g in pres.generators}, rho.form)
+    reps = [rho] + [rho.conjugated(u) for u in _conjugator_pool(rho)] + [trivial]
+    assert len(reps) == 11
+    return {kind: [CocycleSpace(pres, CoefficientModule(rep, kind)) for rep in reps]
+            for kind in EXPECTED}
+
+
+def condition_groups(pres):
+    """The cusp pairs, each parabolic word alone, and one three-word group."""
+    mu, lam = pres.cusps[0]
+    return ([list(cusp) for cusp in pres.cusps]
+            + [[w] for w in default_parabolic_words(pres)] + [[mu, lam, mu * lam]])
+
+
+@pytest.mark.parametrize("kind", list(EXPECTED))
+def test_conditions_vanish_exactly_when_the_values_are_a_coboundary(
+        second_route_spaces, kind):
+    # second route: one alpha with c(w) = (I - w).alpha for the whole group,
+    # solved from the stacked I - w maps and the walked values c(w)
+    rng = random.Random(2424)
+    seen = set()
+    for space in second_route_spaces[kind]:
+        pres, n = space.presentation, space.jacobian.cols
+        z1 = nullspace(space.jacobian)
+        vectors = [space.coboundary([Fraction(rng.randint(-3, 3)) for _ in range(space.d)])]
+        vectors += [[sum((rng.randint(-2, 2) * b[j] for b in z1), Fraction(0)) for j in range(n)]
+                    for _ in range(2)]
+        vectors += [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(2)]
+        for group in condition_groups(pres):
+            conditions = space._coboundary_conditions(group)
+            cusp_map = space.module.coboundary_map(group)
+            for c in vectors:
+                values = [x for w in group for x in cocycle_eval(space, c, w)]
+                solvable = in_column_space(cusp_map, values) is not None
+                assert (not any(conditions.matvec(c))) == solvable, (kind, group)
+                seen.add(solvable)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("kind", list(EXPECTED))
+def test_parabolic_and_coboundary_ranks_by_second_routes(second_route_spaces, kind):
+    # dim PZ^1 without the H^1 projection: the nullity of J over all the
+    # conditions; dim Z^1 and dim B^1 by Fraction Gauss-Jordan
+    for space in second_route_spaces[kind]:
+        pres, jacobian = space.presentation, space.jacobian
+        for groups in ([list(cusp) for cusp in pres.cusps],
+                       [[w] for w in default_parabolic_words(pres)]):
+            stacked = jacobian.vstack(*(space._coboundary_conditions(g) for g in groups))
+            assert space.parabolic_kernel_dim(groups) == jacobian.cols - stacked.rank()
+        assert space.dim_z1 == jacobian.cols - fraction_rank(jacobian.to_rows())
+        assert space.dim_b1 == fraction_rank(space.coboundary_map.to_rows())
+        assert space.dim_h0 == space.d - space.dim_b1
+
+
+def test_invalid_representation_keeps_its_cocycle_and_coboundary_dimensions(rho):
+    # z swapped for a rotation that preserves the form: the relators are no
+    # longer killed, so B^1 need not lie in Z^1, but dim Z^1, dim B^1 and
+    # dim H^0 are still the ranks of J and delta
+    rotation = RationalMatrix.from_rows([[1, 0, 0, 0], [0, Fraction(3, 5), Fraction(-4, 5), 0],
+                                         [0, Fraction(4, 5), Fraction(3, 5), 0], [0, 0, 0, 1]])
+    rep = Representation(rho.presentation, dict(rho.images, z=rotation), rho.form)
+    assert rho.form.preserved_by(rotation) and not validate_representation(rep).ok
+    for kind in EXPECTED:
+        space = CocycleSpace(rep.presentation, CoefficientModule(rep, kind))
+        fixed = len(nullspace(space.coboundary_map))
+        assert (space.dim_b1, space.dim_h0) == (space.d - fixed, fixed)
+        assert space.dim_z1 == len(nullspace(space.jacobian))

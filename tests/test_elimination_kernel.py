@@ -15,6 +15,8 @@ must equal the reference rank and the plain ``Fraction`` determinant loop.
 ``rank()`` (and ``FloatMatrix.rank``) take the columns with the most zeros
 first, so they are checked on sparse matrices, with their columns shuffled,
 and on branched closure systems, whose rows touch few of the wall columns.
+``rank()`` ranks a tall matrix through its transpose, so it is checked on
+tall and wide shapes against the reference and against its transpose.
 Small integer products run compiled straight-line kernels; they are checked
 against the ``sum(map(mul, ...))`` loop they replaced, on both sides of
 ``KERNEL_TERMS``, and the module cocycle walk against its per-letter
@@ -383,6 +385,17 @@ def test_sparse_ranks_match_reference_in_any_column_order():
                 assert (_eliminate(m, reduce=False, columns=order)[:3]
                         == _eliminate(permuted, reduce=False)[:3])
     assert reordered > 300  # most of these take a column order of their own
+
+
+def test_ranks_of_tall_and_wide_matrices_match_reference():
+    # rank() eliminates the shorter side: a tall matrix through its transpose
+    rng = random.Random(2424)
+    shapes = [(rng.randint(1, 14), rng.randint(1, 6)) for _ in range(80)]
+    shapes += [(nc, nr) for nr, nc in shapes] + [(0, 4), (4, 0), (0, 0), (7, 7)]
+    for nr, nc in shapes:
+        rows = random_rows(rng, nr, nc, density=rng.uniform(0.2, 0.9))
+        m = as_matrix(rows, nc)
+        assert m.rank() == len(ref_rref(rows)[1]) == m.transpose().rank(), (nr, nc)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 0), (0, 1)])

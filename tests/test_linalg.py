@@ -182,8 +182,9 @@ def test_float_rank_with_tied_column_maxima():
 
 
 def test_float_rank_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        FloatMatrix(1, 1, [1.0], rank_tolerance=0)
+    for tol in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            FloatMatrix(1, 1, [1.0], rank_tolerance=tol)
 
 
 def test_float_kills_vector():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,16 @@ def test_fox_derivative_basics():
     assert fox_derivative(w("x y"), "y") == GroupRingElem.from_word(w("x"))
     assert (fox_derivative(w("x^-1"), "x")
             == GroupRingElem.from_word(w("x^-1"), -1))
+
+
+def test_group_ring_coefficients_must_be_integral():
+    x, xx = w("x"), w("x^2")
+    kept = GroupRingElem({x: Fraction(4, 2), xx: 3.0, Word.empty(): True})
+    assert kept.terms == {x: 2, xx: 3, Word.empty(): 1}
+    assert all(type(c) is int for c in kept.terms.values())
+    for bad in (Fraction(1, 2), 2.7, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GroupRingElem({x: bad})
 
 
 def test_fox_derivative_commutator():
