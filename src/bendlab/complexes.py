@@ -13,11 +13,12 @@ Each binding contributes rows over the wall-weight variables:
   both a and b are nonzero, so the two sets span the same row space; the
   balanced rows do not depend on n, and the first is all +-1.
 
-Repeated incidences of one wall sum into that wall's column. An exact angle
-is stored as ints, cos = x/q and sin = y/q, and exact systems are built on
-them: every row over d, the lcm of all the incidences' denominators, so an
-incidence enters as its numerators times d // q. The float backend runs the
-same loop on x/q and y/q over q = 1.0 and d = 1.
+Repeated incidences of one wall sum into that wall's column. An exact angle's
+text is read straight to ints, cos = x/q and sin = y/q in lowest terms. An
+incidence adds x, y over q to its so rows and s*q^2, s*(x^2-y^2), 2s*xy over
+q^2 (s, s cos 2theta, s sin 2theta) to its sl rows, times d // q into one
+row-major entry list over d, the lcm of all the incidences' denominators.
+The float backend runs the same loop on x/q and y/q over q = 1.0 and d = 1.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ class Angle:
 
     @classmethod
     def exact_pair(cls, cos, sin) -> "Angle":
-        c, s = parse_rational(cos), parse_rational(sin)
-        x, y, q = c.numerator, s.numerator, c.denominator
+        (x, q), (y, r) = parse_rational(cos), parse_rational(sin)
         # c^2 + s^2 = 1 in lowest terms forces one denominator for both
-        if s.denominator != q or x * x + y * y != q * q:
-            raise ValueError(f"cos^2 + sin^2 != 1 for ({c}, {s})")
+        if r != q or x * x + y * y != q * q:
+            raise ValueError("cos^2 + sin^2 != 1 for ({}, {})".format(
+                *(f"{p}/{d}" if d != 1 else p for p, d in ((x, q), (y, r)))))
         return cls(x, y, q, True)
 
     @classmethod
@@ -75,7 +76,8 @@ class Angle:
         c, s = data["cos"], data["sin"]
         if isinstance(c, str) and isinstance(s, str):
             return cls.exact_pair(c, s)
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (c, s)):
+        if not (type(c) in (int, float) and type(s) in (int, float) or all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in (c, s))):
             raise ValueError(f'an angle\'s "cos" and "sin" are two strings or two numbers, '
                              f"got {c!r} and {s!r}")
         return cls.float_pair(float(c), float(s))
@@ -169,21 +171,6 @@ class BendingComplex:
 GEOMETRIES = ("so", "sl")
 
 
-def _incidence_coefficients(geometry: str, inc: Incidence, exact: bool):
-    """One incidence's coefficients in its binding's rows, as numerators over
-    one denominator. With cos = x/q and sin = y/q (the angle's ints when
-    ``exact``, else the floats x/q and y/q over q = 1): so rows x, y over q;
-    sl rows s*q^2, s*(x^2-y^2) and 2s*xy over q^2, which are s, s cos 2theta
-    and s sin 2theta."""
-    x, y, q = inc.angle.x, inc.angle.y, inc.angle.q
-    if not exact:
-        x, y, q = x / q, y / q, 1.0
-    if geometry == "so":
-        return (x, y), q
-    sign, qq = inc.sign, q * q
-    return (sign * qq, sign * (x * x - y * y), sign * 2 * (x * y)), qq
-
-
 def build_system(complex_: BendingComplex, geometry: str,
                  rank_tolerance: float = DEFAULT_FLOAT_TOLERANCE):
     """The stacked per-binding closure system over wall weights.
@@ -191,7 +178,7 @@ def build_system(complex_: BendingComplex, geometry: str,
     Returns a RationalMatrix when every angle is exact, otherwise a
     FloatMatrix (with a warning if exact and float angles are mixed). The
     exact rows are built on ints over one denominator, the lcm of all the
-    incidences' denominators.
+    incidences' denominators (see the module docstring).
     """
     if geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}")
@@ -202,19 +189,24 @@ def build_system(complex_: BendingComplex, geometry: str,
                       "float backend", stacklevel=2)
     idx = {w: k for k, w in enumerate(complex_.walls)}
     nw, height = len(complex_.walls), 2 if geometry == "so" else 3
-    terms = [[(idx[inc.wall], *_incidence_coefficients(geometry, inc, exact))
-              for inc in b.incidences] for b in complex_.bindings]
-    d = math.lcm(*(q for binding in terms for _, _, q in binding)) if exact else 1
-    rows = [[0] * nw for _ in range(len(terms) * height)]
-    for k, binding in enumerate(terms):
-        for j, nums, q in binding:
-            scale = d // q  # floats: 1 // 1.0 == 1.0
-            for row, a in zip(rows[k * height:(k + 1) * height], nums):
-                row[j] += a * scale
-    entries = [a for row in rows for a in row]
+    # exact sl rows are over q^2, and lcm(q^2, ...) = lcm(q, ...)^2
+    d = (math.lcm(*(i.angle.q for b in complex_.bindings for i in b.incidences))
+         ** (height - 1) if exact else 1)
+    size, rows = height * nw, height * len(complex_.bindings)  # size: entries per binding
+    entries = [0 if exact else 0.0] * (rows * nw)
+    for k, b in enumerate(complex_.bindings):
+        for inc in b.incidences:
+            x, y, q = inc.angle.x, inc.angle.y, inc.angle.q
+            if not exact:
+                x, y, q = x / q, y / q, 1.0
+            s = inc.sign
+            nums = (x, y) if height == 2 else (s * q * q, s * (x * x - y * y), s * 2 * (x * y))
+            scale = d // q ** (height - 1)  # floats: 1 // 1.0 == 1.0
+            for i, a in zip(range(k * size + idx[inc.wall], (k + 1) * size, nw), nums):
+                entries[i] += a * scale
     if not exact:
-        return FloatMatrix(len(rows), nw, entries, rank_tolerance)
-    return RationalMatrix.from_numerators(len(rows), nw, entries, d)
+        return FloatMatrix(rows, nw, entries, rank_tolerance)
+    return RationalMatrix.from_numerators(rows, nw, entries, d)
 
 
 @dataclass

@@ -70,7 +70,8 @@ def _load(path, what: str, build, parse=json.loads):
     try:
         return build(document)
     except _MALFORMED as exc:
-        raise InputError(f"bad {what} file {source}: {exc}") from exc
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise InputError(f"bad {what} file {source}: {why}") from exc
 
 
 def load_presentation(path=None) -> Presentation:

@@ -20,9 +20,10 @@ only where a reduced form is read (``rref_rank``, ``nullspace``,
 takes the columns with the most zeros first, since a rank depends on
 neither; everything that reads pivot columns keeps the order.
 ``Fraction`` appears only at the boundary: the constructor, entries, rows,
-JSON, ``trace``, ``det`` and the vectors returned by ``matvec``, ``nullspace``
-and ``in_column_space``; callers that work on ints read the numerators with
-``to_numerators`` and build with ``from_numerators``.
+``to_json``, ``trace``, ``det`` and the vectors returned by ``matvec``,
+``nullspace`` and ``in_column_space``; callers that work on ints read the
+numerators with ``to_numerators`` and build with ``from_numerators``. Text is
+read by one reader, :func:`parse_rational`, straight to lowest-terms ints.
 A small float backend exists only for systems whose coefficients are not
 rational (bending complexes with non-exact angles); its ranks are
 tolerance-based, take the sparsest columns first too, and are flagged as
@@ -44,21 +45,23 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 _PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(x) -> Fraction:
-    """``Fraction(x)``, except that text in exponent notation whose exponent
-    exceeds ``MAX_EXPONENT`` in size is a ``ValueError``: ``Fraction`` would
-    first build ``10**exponent`` in full, seconds of work for ``"1e10000000"``.
-    Text of the form ``-?[0-9]+(/[0-9]+)?`` is read as two ints, with no
-    ``Fraction(str)`` grammar; any other text goes to ``Fraction(str)``."""
+def parse_rational(x) -> tuple[int, int]:
+    """The rational ``x`` as its lowest-terms ints ``(p, q)``, ``q > 0``. Text
+    of the form ``-?[0-9]+(/[0-9]+)?`` is read as two ints over their gcd;
+    anything else goes through ``Fraction``, except that text in exponent
+    notation whose exponent exceeds ``MAX_EXPONENT`` in size is a ``ValueError``:
+    ``Fraction`` would first build ``10**exponent``, seconds for ``"1e10000000"``."""
     if isinstance(x, str):
         m = _PLAIN.fullmatch(x)
-        if m:
-            return Fraction(int(m[1]), int(m[2] or 1))
+        p, q = (int(m[1]), int(m[2] or 1)) if m else (0, 0)
+        if q:  # over 0, Fraction raises its error
+            g = gcd(p, q)
+            return p // g, q // g
         if "e" in x or "E" in x:
             m = _EXPONENT.search(x)
             if m and abs(int(m[1])) > MAX_EXPONENT:
                 raise ValueError(f"exponent beyond {MAX_EXPONENT} in {x[:40]!r}")
-    return Fraction(x)
+    return Fraction(x).as_integer_ratio()
 
 
 def _common(xs) -> tuple[list[int], int]:
@@ -316,7 +319,12 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, data) -> "RationalMatrix":
-        return cls.from_rows([[parse_rational(str(x)) for x in row] for row in data])
+        data = [[parse_rational(str(x)) for x in row] for row in data]
+        rows, cols = len(data), len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        d = lcm(*(q for r in data for _, q in r))
+        return cls._of(rows, cols, [p * (d // q) for r in data for p, q in r], d)
 
 
 def _sparsest_first(entries, cols: int) -> list[int] | None:
@@ -463,13 +471,10 @@ class FloatMatrix:
     def __init__(self, rows, cols, entries, rank_tolerance=DEFAULT_FLOAT_TOLERANCE):
         if not 0 < rank_tolerance < inf:  # also rejects nan
             raise ValueError("rank_tolerance must be positive and finite")
-        entries = [float(x) for x in entries]
-        if len(entries) != rows * cols:
+        self.rows, self.cols, self.rank_tolerance = rows, cols, rank_tolerance
+        self.entries = list(map(float, entries))
+        if len(self.entries) != rows * cols:
             raise ValueError("entry count mismatch")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-        self.rank_tolerance = rank_tolerance
 
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]

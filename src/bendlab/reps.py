@@ -106,6 +106,8 @@ class Representation:
             m = images[g]
             if m.shape != (size, size):
                 raise ValueError(f"image of {g} is {m.shape}, expected {size}x{size}")
+        if extra := [g for g in images if g not in presentation.generators]:
+            raise ValueError(f"images for generators the presentation lacks: {extra}")
         self.presentation = presentation
         self.images = dict(images)
         self.form = form

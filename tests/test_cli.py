@@ -58,9 +58,11 @@ def test_validate_defaults_to_bundled(capsys):
     assert code == 0 and doc["ok"]
 
 
-@pytest.mark.parametrize("generators", [5, ["x", ""], "xyz"])
+@pytest.mark.parametrize("generators", [5, ["x", ""], "xyz", None])
 def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     pres = dict(bundled_json("borromean_presentation.json"), generators=generators)
+    if generators is None:  # no "relators" key
+        pres = {"generators": ["x"]}
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(pres))
     # a child process with a timeout: an empty name once hung the parser
@@ -70,6 +72,8 @@ def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: bad presentation file")
+    if generators is None:  # named in words, not a bare KeyError repr
+        assert done.stderr.rstrip().endswith("missing key 'relators'"), done.stderr
 
 
 @pytest.mark.parametrize("rep", [
@@ -79,6 +83,12 @@ def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     {"form": [], "images": {"x": [], "y": [], "z": []}},
     {"form": [["1"]], "images": {"x": [["1"]], "y": [["1"]], "z": [["1"]]}},
     {"images": {"x": [["1"]], "y": [["1"]], "z": [["1"]]}},
+    dict(bundled_json("borromean_representation.json"),
+         images=dict(bundled_json("borromean_representation.json")["images"],
+                     w=[["1", "0"], ["0", "1"]])),
+    dict(bundled_json("borromean_representation.json"),
+         images=dict(bundled_json("borromean_representation.json")["images"],
+                     w=[["0"] * 4] * 4)),
 ])
 def test_validate_malformed_representation_is_input_error(tmp_path, rep):
     path = tmp_path / "rep.json"
@@ -91,6 +101,9 @@ def test_validate_malformed_representation_is_input_error(tmp_path, rep):
     assert done.stderr.startswith("error: bad representation file")
     if isinstance(rep, dict) and "form" not in rep:  # named, not a KeyError repr
         assert 'needs a "form" matrix' in done.stderr
+    images = rep.get("images") if isinstance(rep, dict) else None
+    if isinstance(images, dict) and "w" in images:  # not a generator of the presentation
+        assert "images for generators the presentation lacks: ['w']" in done.stderr, done.stderr
 
 
 def test_cohomology_r31(capsys, fixture_files, tmp_path):
@@ -266,6 +279,10 @@ def complex_with_sign(sign):
     return cx
 
 
+NO_SIN = complex_with_angle({"cos": "1"})
+NO_NAME = fixture_complex(bindings=[{"incidences": [{"wall": "w1", "angle": "0"}]}])
+
+
 @pytest.mark.parametrize("data", [
     [1],
     fixture_complex(bindings=5),
@@ -281,6 +298,8 @@ def complex_with_sign(sign):
     complex_with_sign(True),
     complex_with_angle({"cos": True, "sin": False}),
     complex_with_angle({"cos": "0.6", "sin": 0.8}),
+    NO_SIN,
+    NO_NAME,
 ])
 def test_branched_system_malformed_complex_is_input_error(tmp_path, data):
     path = tmp_path / "complex.json"
@@ -288,6 +307,9 @@ def test_branched_system_malformed_complex_is_input_error(tmp_path, data):
     done = run_child("branched-system", str(path), "--geometry", "so")
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: bad complex file"), done.stderr
+    if data is NO_SIN or data is NO_NAME:  # named in words, not a bare KeyError repr
+        key = "sin" if data is NO_SIN else "name"
+        assert done.stderr.rstrip().endswith(f"missing key '{key}'"), done.stderr
 
 
 NAN_ANGLE = json.dumps(complex_with_angle({"cos": 0.6, "sin": 0.8})).replace("0.6", "NaN")
@@ -340,6 +362,7 @@ def test_unwritable_output_exits_two_without_a_traceback(tmp_path, where):
     [{"subgroup": 5, "stable": "y"}],
     [{"subgroup": [5], "stable": "y"}],
     [{"subgroup": ["x"], "stable": ["y"]}],
+    [{"subgroup": ["x"]}],
 ])
 def test_bend_malformed_pants_is_input_error(tmp_path, pants):
     path = tmp_path / "pants.json"
@@ -347,6 +370,8 @@ def test_bend_malformed_pants_is_input_error(tmp_path, pants):
     done = run_child("bend", "--pants", str(path), "--geometry", "so")
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: bad pants file"), done.stderr
+    if pants == [{"subgroup": ["x"]}]:  # named in words, not a bare KeyError repr
+        assert done.stderr.rstrip().endswith("missing key 'stable'"), done.stderr
 
 
 @pytest.mark.parametrize("line", ["x (", "x^99999999999", "q"])

@@ -337,3 +337,59 @@ def test_balanced_sl_rows_span_the_paper_rows(n):
         assert (bending_dimension(cx, "sl").nullity
                 == len(cx.walls) - RationalMatrix.from_rows(stacked).rank())
     assert min(repeated, flipped, named) >= 10
+
+
+def spelled(rng, f: Fraction) -> str:
+    """``f`` as text the way a hand-written file might spell it: reduced,
+    unreduced, signed, padded, or as a decimal when it has one."""
+    style = rng.randrange(5)
+    if style == 1:
+        k = rng.randint(2, 9)
+        return f"{f.numerator * k}/{f.denominator * k}"
+    if style == 2:
+        return ("+" if f >= 0 else "") + str(f)
+    if style == 3:
+        return f" {f} "
+    if style == 4 and 10**6 % f.denominator == 0:
+        return str(f.numerator * 10**6 // f.denominator / 10**6)  # exact for |f| <= 1
+    return str(f)
+
+
+def fraction_route(cos: str, sin: str):
+    """The reference reading of an angle: both texts through ``Fraction``,
+    then the circle check with its message, as (x, y, q) or the error."""
+    c, s = Fraction(cos), Fraction(sin)
+    if s.denominator != c.denominator or c * c + s * s != 1:
+        return ValueError(f"cos^2 + sin^2 != 1 for ({c}, {s})")
+    return c.numerator, s.numerator, c.denominator
+
+
+def test_int_reader_matches_the_fraction_route():
+    rng = random.Random(2525)
+    bad = 0
+    for _ in range(400):
+        c, s = cos_sin(euclid_angle(rng, rng.choice((4, 16, 64))))
+        if rng.random() < 0.25:  # off the circle, or over two denominators
+            c, s = rng.choice([(c + Fraction(1, c.denominator), s), (c, s / 2),
+                               (Fraction(c.numerator, 7 * c.denominator), s)])
+        if rng.random() < 0.05:
+            cos, sin = f"{c.numerator}/0", spelled(rng, s)
+        else:
+            cos, sin = spelled(rng, c), spelled(rng, s)
+        try:
+            want = fraction_route(cos, sin)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                Angle.from_json({"cos": cos, "sin": sin})
+            continue
+        if isinstance(want, ValueError):
+            bad += 1
+            with pytest.raises(ValueError) as caught:
+                Angle.from_json({"cos": cos, "sin": sin})
+            assert str(caught.value) == str(want)
+        else:
+            assert Angle.from_json({"cos": cos, "sin": sin}) == Angle(*want, True)
+        texts = [[cos, sin, spelled(rng, c)], [spelled(rng, s), "0/5", "-0"]]
+        assert (RationalMatrix.from_json(texts)
+                == RationalMatrix.from_rows([[Fraction(t) for t in row] for row in texts]))
+    assert bad >= 50

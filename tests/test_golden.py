@@ -1,8 +1,10 @@
-"""Byte-for-byte CLI snapshots on the bundled fixture.
+"""Byte-for-byte CLI snapshots on the bundled fixture, and on a Pythagorean
+complex and its float twin under ``tests/data/``.
 
 Every document under ``tests/golden/`` was written by the CLI before the word
-evaluator and the cocycle walk were merged; a refactor that changes any of
-them changes behaviour. To regenerate after an intended change, write
+evaluator and the cocycle walk were merged, and the four
+``branched_system_pythagorean*`` documents before the rational reader returned
+ints; a refactor that changes any of them changes behaviour. To regenerate after an intended change, write
 ``main(argv + ["--output", path])`` for each entry of ``CASES``.
 """
 
@@ -14,6 +16,7 @@ import pytest
 from bendlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
 
 
 def _data(name: str) -> str:
@@ -30,6 +33,12 @@ def _cases() -> dict[str, list[str]]:
         cases[f"branched_system_{geometry}"] = [
             "branched-system", _data("borromean_complex.json"),
             "--geometry", geometry]
+        # Pythagorean angles of height up to 64, spelled reduced, unreduced,
+        # signed, padded and as decimals, and the same complex on floats
+        for twin in ("", "_float"):
+            cases[f"branched_system_pythagorean{twin}_{geometry}"] = [
+                "branched-system", str(DATA / f"pythagorean_complex{twin}.json"),
+                "--geometry", geometry]
     words = ["--words", _data("borromean_words.txt")]
     cases["bend_sl"] = ["bend", "--pants", _data("borromean_pants.json"),
                         "--geometry", "sl"] + words
