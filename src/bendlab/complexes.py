@@ -57,8 +57,8 @@ class Angle:
         (x, q), (y, r) = parse_rational(cos), parse_rational(sin)
         # c^2 + s^2 = 1 in lowest terms forces one denominator for both
         if r != q or x * x + y * y != q * q:
-            raise ValueError("cos^2 + sin^2 != 1 for ({}, {})".format(
-                *(f"{p}/{d}" if d != 1 else p for p, d in ((x, q), (y, r)))))
+            c, s = (f"{p}/{d}" if d != 1 else str(p) for p, d in ((x, q), (y, r)))
+            raise ValueError(f"cos^2 + sin^2 != 1 for ({c}, {s})")
         return cls(x, y, q, True)
 
     @classmethod
