@@ -198,12 +198,15 @@ def build_system(complex_: BendingComplex, geometry: str,
         for inc in b.incidences:
             x, y, q = inc.angle.x, inc.angle.y, inc.angle.q
             if not exact:
-                x, y, q = x / q, y / q, 1.0
-            s = inc.sign
-            nums = (x, y) if height == 2 else (s * q * q, s * (x * x - y * y), s * 2 * (x * y))
-            scale = d // q ** (height - 1)  # floats: 1 // 1.0 == 1.0
-            for i, a in zip(range(k * size + idx[inc.wall], (k + 1) * size, nw), nums):
-                entries[i] += a * scale
+                x, y, q = x / q, y / q, 1.0  # so the scale is 1 // 1.0 == 1.0
+            j, s, scale = k * size + idx[inc.wall], inc.sign, d // q ** (height - 1)
+            if height == 2:
+                entries[j] += x * scale
+                entries[j + nw] += y * scale
+            else:
+                entries[j] += s * q * q * scale
+                entries[j + nw] += s * (x * x - y * y) * scale
+                entries[j + 2 * nw] += s * 2 * (x * y) * scale
     if not exact:
         return FloatMatrix(rows, nw, entries, rank_tolerance)
     return RationalMatrix.from_numerators(rows, nw, entries, d)
@@ -237,4 +240,4 @@ def bending_dimension(complex_: BendingComplex, geometry: str,
         equal = not any(sum(nums[i * nc:(i + 1) * nc]) for i in range(system.rows))
         return BendingReport(nullity, naive, equal, True)
     ones = [1] * len(complex_.walls)
-    return BendingReport(system.nullity(), naive, system.kills_vector(ones), False)
+    return BendingReport(system.cols - system.rank(), naive, system.kills_vector(ones), False)

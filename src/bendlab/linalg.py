@@ -20,10 +20,9 @@ only where a reduced form is read (``rref_rank``, ``nullspace``,
 takes the columns with the most zeros first, since a rank depends on
 neither; everything that reads pivot columns keeps the order.
 ``Fraction`` appears only at the boundary: the constructor, entries, rows,
-``to_json``, ``trace``, ``det`` and the vectors returned by ``matvec``,
-``nullspace`` and ``in_column_space``; callers that work on ints read the
-numerators with ``to_numerators`` and build with ``from_numerators``. Text is
-read by one reader, :func:`parse_rational`, straight to lowest-terms ints.
+``to_json``, ``trace``, ``det`` and the vectors of ``matvec``, ``nullspace`` and
+``in_column_space``; int callers use ``to_numerators`` and ``from_numerators``,
+and text is read straight to lowest-terms ints by :func:`parse_rational`.
 A small float backend exists only for systems whose coefficients are not
 rational (bending complexes with non-exact angles); its ranks are
 tolerance-based, take the sparsest columns first too, and are flagged as
@@ -511,9 +510,6 @@ class FloatMatrix:
                     m[i][c:] = [a - f * b for a, b in zip(m[i][c:], tail)]
             r += 1
         return r
-
-    def nullity(self) -> int:
-        return self.cols - self.rank()
 
     def kills_vector(self, vec) -> bool:
         """True when m*vec vanishes within the relative tolerance."""
