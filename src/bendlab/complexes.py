@@ -16,9 +16,9 @@ Each binding contributes rows over the wall-weight variables:
 Repeated incidences of one wall sum into that wall's column. An exact angle's
 text is read straight to ints, cos = x/q and sin = y/q in lowest terms. An
 incidence adds x, y over q to its so rows and s*q^2, s*(x^2-y^2), 2s*xy over
-q^2 (s, s cos 2theta, s sin 2theta) to its sl rows, times d // q into one
-row-major entry list over d, the lcm of all the incidences' denominators.
-The float backend runs the same loop on x/q and y/q over q = 1.0 and d = 1.
+q^2 (s, s cos 2theta, s sin 2theta) to its sl rows, each brought over d, the
+lcm of all those denominators, in place in one row-major entry list. The
+float backend runs the same loop on x/q and y/q over q = 1.0 and d = 1.
 """
 
 from __future__ import annotations
