@@ -4,8 +4,9 @@ complex and its float twin under ``tests/data/``.
 Every document under ``tests/golden/`` was written by the CLI before the word
 evaluator and the cocycle walk were merged, and the four
 ``branched_system_pythagorean*`` documents before the rational reader returned
-ints; a refactor that changes any of them changes behaviour. To regenerate after an intended change, write
-``main(argv + ["--output", path])`` for each entry of ``CASES``.
+ints; a refactor that changes any of them changes behaviour. To regenerate
+after an intended change, write ``main(argv + ["--output", path])`` for each
+entry of ``CASES``.
 """
 
 from importlib import resources
