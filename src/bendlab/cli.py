@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import fixtures
 from .acceptance import COEFFICIENT_KINDS, run_fixture_suite
@@ -112,10 +113,14 @@ def cmd_cohomology(args) -> int:
 def cmd_branched_system(args) -> int:
     cx = fixtures.load_complex(args.complex)
     tol = _float_tolerance()
-    report = bending_dimension(cx, args.geometry, tol)
+    with warnings.catch_warnings(record=True) as caught:  # mixed angles
+        warnings.simplefilter("always")
+        report = bending_dimension(cx, args.geometry, tol)
     doc = report.to_json()
     if not report.exact:
         doc["rank_tolerance"] = tol
+    if caught:
+        doc["warnings"] = [str(w.message) for w in caught]
     _emit(doc, args.output)
     return EXIT_OK
 

@@ -71,29 +71,22 @@ class CocycleSpace:
         """d x (g*d) matrix evaluating c(w) from generator values: block i is
         the action of the Fox derivative dw/dx_i.
 
-        Every Fox term is a prefix action, read from the module's walk of the
-        word; a positive last letter needs no product after it.
+        Every Fox term is a prefix action, read by position from the
+        module's walk of the word (see :meth:`_row_and_action`).
         """
-        return self._row_and_action(w, False)[0]
+        return self._row_and_action(w)[0]
 
-    def _row_and_action(self, w: Word, action: bool = True):
-        """``word_row(w)`` and, with ``action``, the action of w, both from
-        one walk of the word: the action is its last prefix. Each block sums
-        its generator's signed prefixes on their numerators over one common
-        denominator, and the row is built once from them."""
+    def _row_and_action(self, w: Word):
+        """``word_row(w)`` and the action of w, both from one walk of the
+        word. Letter k (0-based) adds prefix k if it is a generator and takes
+        prefix k+1 away if it is an inverse; the action is the last prefix.
+        Each block sums its generator's signed prefixes on their numerators
+        over one common denominator, and the row is built once from them."""
         d = self.d
+        prefixes = list(self.module.evaluator.walk(w.letters))
         terms = {g: [] for g in self.presentation.generators}  # (sign, numerators, den)
-        prefixes = self.module.evaluator.walk(w.letters)
-        prefix = next(prefixes)
-        for k, (g, e) in enumerate(w.letters, 1):
-            if e == -1:
-                prefix = next(prefixes)
-            terms[g].append((e, *prefix.to_numerators()))
-            if e == 1 and k < len(w.letters):
-                prefix = next(prefixes)
-        if action:
-            for prefix in prefixes:
-                pass
+        for k, (g, e) in enumerate(w.letters):
+            terms[g].append((e, *prefixes[k if e == 1 else k + 1].to_numerators()))
         den = lcm(*(q for signed in terms.values() for _, _, q in signed))
         blocks = []
         for signed in terms.values():
@@ -103,7 +96,7 @@ class CocycleSpace:
                 block = [a + s * b for a, b in zip(block, nums)]
             blocks.append(block)
         row = [a for r in range(0, d * d, d) for block in blocks for a in block[r:r + d]]
-        return RationalMatrix.from_numerators(d, self.g * d, row, den), prefix
+        return RationalMatrix.from_numerators(d, self.g * d, row, den), prefixes[-1]
 
     def coboundary(self, alpha) -> tuple[Fraction, ...]:
         return self.coboundary_map.matvec(alpha)
@@ -250,7 +243,9 @@ def h1_report(presentation: Presentation, module: CoefficientModule,
 
     for w in (w for group in groups for w in group):
         if not is_parabolic(module.rep.evaluate(w)):
-            report.warnings.append(f"word {w} is not parabolic under the representation")
+            n = len(w.letters)  # a long word is named by its first letters
+            name = w if n <= 32 else f"{Word(w.letters[:12])} ... ({n} letters)"
+            report.warnings.append(f"word {name} is not parabolic under the representation")
 
     report.dim_pz1 = space.parabolic_kernel_dim(groups)
     report.dim_ph1 = report.dim_pz1 - space.dim_b1

@@ -19,10 +19,11 @@ only where a reduced form is read (``rref_rank``, ``nullspace``,
 ``rank`` eliminates the shorter side (the transpose of a tall matrix) and
 takes the columns with the most zeros first, since a rank depends on
 neither; everything that reads pivot columns keeps the order.
-``Fraction`` appears only at the boundary: the constructor, entries, rows,
-``to_json``, ``trace``, ``det`` and the vectors of ``matvec``, ``nullspace`` and
-``in_column_space``; int callers use ``to_numerators`` and ``from_numerators``,
-and text is read straight to lowest-terms ints by :func:`parse_rational`.
+Every exact value that comes in (text, int or ``Fraction``) is read to
+lowest-terms ints by :func:`parse_rational`. ``Fraction`` appears only on the
+way out: entries, rows, ``to_json``, ``trace``, ``det`` and the vectors of
+``matvec``, ``nullspace`` and ``in_column_space``; int callers use
+``to_numerators`` and ``from_numerators``.
 A small float backend exists only for systems whose coefficients are not
 rational (bending complexes with non-exact angles); its ranks are
 tolerance-based, take the sparsest columns first too, and are flagged as
@@ -45,9 +46,10 @@ _PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(x) -> tuple[int, int]:
-    """The rational ``x`` as its lowest-terms ints ``(p, q)``, ``q > 0``. Text
-    of the form ``-?[0-9]+(/[0-9]+)?`` is read as two ints over their gcd;
-    anything else goes through ``Fraction``, except that text in exponent
+    """The exact rational ``x`` as its lowest-terms ints ``(p, q)``, ``q > 0``;
+    an int or a ``Fraction`` is its own pair, and a float is a ``TypeError``.
+    Text of the form ``-?[0-9]+(/[0-9]+)?`` is read as two ints over their
+    gcd; other text goes through ``Fraction``, except that text in exponent
     notation whose exponent exceeds ``MAX_EXPONENT`` in size is a ``ValueError``:
     ``Fraction`` would first build ``10**exponent``, seconds for ``"1e10000000"``."""
     if isinstance(x, str):
@@ -60,18 +62,21 @@ def parse_rational(x) -> tuple[int, int]:
             m = _EXPONENT.search(x)
             if m and abs(int(m[1])) > MAX_EXPONENT:
                 raise ValueError(f"exponent beyond {MAX_EXPONENT} in {x[:40]!r}")
+    elif type(x) is int:
+        return x, 1
+    elif isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    elif isinstance(x, float):
+        raise TypeError("floats are not exact; use FloatMatrix or pass a string")
     return Fraction(x).as_integer_ratio()
 
 
 def _common(xs) -> tuple[list[int], int]:
-    """Numerators of the exact rationals ``xs`` over their least common
-    denominator, and that denominator."""
-    xs = list(xs)
-    if any(isinstance(x, float) for x in xs):
-        raise TypeError("floats are not exact; use FloatMatrix or pass a string")
-    fs = [x if isinstance(x, Fraction) else Fraction(x) for x in xs]
-    d = lcm(*(x.denominator for x in fs))
-    return [x.numerator * (d // x.denominator) for x in fs], d
+    """Numerators of the exact rationals ``xs``, read by :func:`parse_rational`,
+    over their least common denominator, and that denominator."""
+    pairs = list(map(parse_rational, xs))
+    d = lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
 
 
 @lru_cache(maxsize=64)
@@ -206,7 +211,7 @@ class RationalMatrix:
         return RationalMatrix._of(self.rows, self.cols, [-a for a in self._n], self._d)
 
     def scale(self, c) -> "RationalMatrix":
-        (p,), q = _common([c])
+        p, q = parse_rational(c)
         return RationalMatrix._of(self.rows, self.cols, [p * a for a in self._n],
                                   self._d * q)
 
@@ -318,12 +323,7 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, data) -> "RationalMatrix":
-        data = [[parse_rational(str(x)) for x in row] for row in data]
-        rows, cols = len(data), len(data[0]) if data else 0
-        if any(len(r) != cols for r in data):
-            raise ValueError("ragged rows")
-        d = lcm(*(q for r in data for _, q in r))
-        return cls._of(rows, cols, [p * (d // q) for r in data for p, q in r], d)
+        return cls.from_rows([[str(x) for x in row] for row in data])
 
 
 def _sparsest_first(entries, cols: int) -> list[int] | None:

@@ -52,9 +52,9 @@ CACHE_ENTRIES = 256
 
 class WordEvaluator:
     """Multiplies out words from the letter matrices ``letters[g, +-1]``;
-    GroupRingElems act linearly. Words of at most 12 letters are cached with
-    their prefixes (see :meth:`walk`), and the cache is emptied once it holds
-    ``CACHE_ENTRIES`` words, so a long stream of distinct words keeps memory flat."""
+    GroupRingElems act linearly. :meth:`walk` only multiplies; :meth:`__call__`
+    memoizes whole words of at most 12 letters and empties the memo once it
+    holds ``CACHE_ENTRIES`` words, so a stream of distinct words keeps memory flat."""
 
     def __init__(self, letters: dict[tuple[str, int], RationalMatrix], size: int):
         self.size = size
@@ -74,23 +74,20 @@ class WordEvaluator:
         if out is None:
             for out in self.walk(e.letters):
                 pass
+            if len(e.letters) <= 12:
+                if len(self._cache) >= CACHE_ENTRIES:
+                    self._cache.clear()
+                self._cache[e.letters] = out
         return out
 
     def walk(self, letters: tuple):
         """The actions of ``letters[:k]`` for k = 0, 1, ..., as they are asked
-        for: each the one before times its letter, taken from or put in the
-        cache up to 12 letters, so a word costs at most one product a letter."""
+        for: one running product, each the one before times its letter, so a
+        word costs one product a letter after its first."""
         out = self._identity
         yield out
-        for k, letter in enumerate(letters, 1):
-            hit = self._cache.get(letters[:k]) if k <= 12 else None
-            if hit is None:
-                hit = out * self.letters[letter] if k > 1 else self.letters[letter]
-                if k <= 12:
-                    if len(self._cache) >= CACHE_ENTRIES:
-                        self._cache.clear()
-                    self._cache[letters[:k]] = hit
-            out = hit
+        for k, letter in enumerate(letters):
+            out = out * self.letters[letter] if k else self.letters[letter]
             yield out
 
 

@@ -330,6 +330,18 @@ def test_branched_system_non_finite_or_deep_json_is_input_error(tmp_path, text, 
     assert done.stderr.startswith("error: ") and error in done.stderr, done.stderr
 
 
+def test_branched_system_reports_mixed_angles_in_its_document(tmp_path):
+    # the library warns; the CLI records the warning in the document and
+    # prints nothing on stderr, where Python would name bendlab's own line
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(complex_with_angle({"cos": 0.6, "sin": 0.8})))
+    done = run_child("branched-system", str(path), "--geometry", "so")
+    assert (done.returncode, done.stderr) == (0, "")
+    doc = json.loads(done.stdout)
+    assert list(doc)[-1] == "warnings" and not doc["exact"]
+    assert doc["warnings"] == ["mixed exact and float angles; falling back to the float backend"]
+
+
 @pytest.mark.parametrize("entry", ["1e10000000", "1E-10000000", "-3.5e+99999"])
 def test_huge_exponent_entries_exit_two_without_expanding(tmp_path, entry):
     # Fraction alone spends about 15 s expanding "1e10000000", so the timeout is short

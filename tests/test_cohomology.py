@@ -259,6 +259,21 @@ def test_long_cusp_words_are_walked_once(borromean, rho, monkeypatch):
     assert (report.dim_h1, report.dim_pz1) == (EXPECTED["nu"]["h1"], 9)
 
 
+@pytest.mark.parametrize("k, name", [
+    (10, "x y^-1 z " * 9 + "x y^-1 z"),  # 30 letters: named whole
+    (11, "x y^-1 z " * 4 + "... (33 letters)"),
+    (1000, "x y^-1 z " * 4 + "... (3000 letters)"),
+])
+def test_a_long_non_parabolic_word_is_named_by_its_first_letters(borromean, rho, k, name):
+    # the longitude of test_long_cusp_words_are_walked_once is not parabolic
+    long_lambda = parse_word(f"(x y^-1 z)^{k}", borromean.generators)
+    cusps = ((borromean.cusps[0][0], long_lambda),) + borromean.cusps[1:]
+    pres = Presentation(borromean.generators, borromean.relators, cusps)
+    module = CoefficientModule(Representation(pres, rho.images, rho.form), "standard")
+    report = h1_report(pres, module, mode="per_subgroup")
+    assert report.warnings == [f"word {name} is not parabolic under the representation"]
+
+
 def fraction_rank(rows) -> int:
     """Rank by plain Gauss-Jordan on Fraction entries, independent of linalg."""
     rows = [[Fraction(x) for x in r] for r in rows]

@@ -44,6 +44,8 @@ def test_angle_names_and_pairs():
         Angle.named("pi/3")
     with pytest.raises(ValueError):
         Angle.exact_pair(Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(TypeError, match="floats are not exact"):
+        Angle.exact_pair(1.0, 0.0)
     good = Angle.exact_pair(Fraction(3, 5), Fraction(4, 5))
     assert double_angle(good) == (Fraction(-7, 25), Fraction(24, 25))
 

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bendlab import linalg
 from bendlab.linalg import (MAX_EXPONENT, FloatMatrix, RationalMatrix, in_column_space,
                             nullspace, parse_rational, rank_of_vectors, rref_rank)
 
@@ -208,13 +210,33 @@ def test_json_floats_and_small_exponents_still_load():
             == Fraction(5, 2 * 10**MAX_EXPONENT).as_integer_ratio())
 
 
+# every way one exact value comes into a RationalMatrix, each giving it back
+READERS = {
+    "RationalMatrix": lambda x: RationalMatrix(1, 1, [x])[0, 0],
+    "from_rows": lambda x: RationalMatrix.from_rows([[x]])[0, 0],
+    "from_json": lambda x: RationalMatrix.from_json([[x]])[0, 0],
+    "column": lambda x: RationalMatrix.column([x])[0, 0],
+    "scale": lambda x: RationalMatrix.identity(1).scale(x)[0, 0],
+    "matvec": lambda x: RationalMatrix.identity(1).matvec([x])[0],
+}
+
+
+class NoFraction(Fraction):
+    """Stands in for ``Fraction`` in linalg where none may be built."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError(f"built a Fraction from {args!r}")
+
+
 @pytest.mark.parametrize("text", ["1e10000000", "1E-10000000", f"1e{MAX_EXPONENT + 1}",
                                   "-2.5e+1_000_000 ", "1e" + "9" * 5000])
-def test_huge_exponents_are_rejected_before_fraction_expands_them(text):
+def test_huge_exponents_are_rejected_before_fraction_expands_them(text, monkeypatch):
+    monkeypatch.setattr(linalg, "Fraction", NoFraction)
     with pytest.raises(ValueError):
         parse_rational(text)
-    with pytest.raises(ValueError):
-        RationalMatrix.from_json([[text]])
+    for read in READERS.values():
+        with pytest.raises(ValueError):
+            read(text)
 
 
 # Fraction(str)'s grammar differs between interpreters (3.10 rejects "3_0/5",
@@ -235,3 +257,34 @@ def test_reader_agrees_with_fraction(text):
     else:  # the lowest-terms pair of ints, denominator positive
         p, q = parse_rational(text)
         assert type(p) is int and type(q) is int and (p, q) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("text", READER_CORPUS + [pytest.param("7" * 5000 + "/3",
+                                                               id="5000-digit numerator")])
+def test_every_constructor_reads_text_like_fraction(text):
+    try:
+        want = Fraction(text)  # the reference route
+    except Exception as exc:
+        for read in READERS.values():
+            with pytest.raises(type(exc)):
+                read(text)
+    else:
+        for name, read in READERS.items():
+            assert read(text) == want, name
+
+
+def test_ints_and_fractions_are_their_own_pairs_and_floats_are_refused():
+    assert parse_rational(-12) == (-12, 1)
+    assert parse_rational(True) == (1, 1)
+    for x in (Fraction(-6, 10), Fraction(0), Fraction(7 ** 40, 3 ** 30)):
+        assert parse_rational(x) == (x.numerator, x.denominator)
+        for name, read in READERS.items():
+            if name != "from_json":  # which reads str(x)
+                assert read(x) == x, name
+    message = "floats are not exact; use FloatMatrix or pass a string"
+    for read in [parse_rational] + [r for n, r in READERS.items() if n != "from_json"]:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            read(0.5)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        RationalMatrix(1, 2, ["1/2", 0.5])
+    assert RationalMatrix(1, 3, [1, Fraction(2, 3), "-4/6"]).to_numerators() == ((3, 2, -2), 3)

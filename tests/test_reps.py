@@ -280,3 +280,22 @@ def test_word_cache_stays_within_its_bound(rho, borromean):
                 plain = plain * rho.image(g, e)
             assert fresh.evaluate(w) == plain
             assert len(fresh.evaluator._cache) <= CACHE_ENTRIES
+
+
+def test_call_memoizes_whole_short_words_and_matches_a_plain_product(rho, borromean):
+    fresh = Representation(borromean, rho.images, rho.form)
+    rng = random.Random(26)
+    gens = borromean.generators
+    w = parse_word("(x y^-1 z)^4", gens)
+    assert len(w.letters) == 12
+    fresh.evaluate(w)
+    assert list(fresh.evaluator._cache) == [w.letters]  # no proper prefix
+    words = [rand_word(rng, gens, max_len=30) for _ in range(60)]
+    ident = RationalMatrix.identity(fresh.size)
+    for v in words + words[::3]:  # a third of them asked for twice
+        plain = ident
+        for g, e in v.letters:
+            plain = plain * rho.image(g, e)
+        assert fresh.evaluate(v) == plain, v
+    assert any(len(v.letters) > 12 for v in words)
+    assert all(len(k) <= 12 for k in fresh.evaluator._cache)
