@@ -10,7 +10,7 @@ from fractions import Fraction
 from .linalg import RationalMatrix, nullspace
 from .modules import CoefficientModule
 from .reps import FirstOrderRep, Representation, first_order_evaluate
-from .words import Presentation, Word, parse_word
+from .words import Presentation, Word, parse_word, shown
 
 # the coefficient module that carries each geometry's tangent cocycles
 MODULE_KIND = {"sl": "nu", "so_ext": "standard"}
@@ -34,7 +34,7 @@ class BendingDatum:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         letters = self.stable_letter.letters
         if len(letters) != 1 or letters[0][1] != 1:
-            raise ValueError(f"stable letter {self.stable_letter} is not a single "
+            raise ValueError(f"stable letter {shown(self.stable_letter)} is not a single "
                              "generator with exponent +1")
 
     @classmethod

@@ -5,7 +5,7 @@ Subcommands: ``validate``, ``cohomology``, ``branched-system``, ``bend``,
 document there; stdout always mirrors it. Exit codes: 0 success, 1 check
 failure (``bend``: no wall yields a valid cocycle), 2 input error (including
 ``borromean --cases`` below 1). BENDLAB_FLOAT_TOL overrides the float rank
-tolerance.
+tolerance. Warnings come in the document; an error quotes input by ``words.shown``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 from . import fixtures
 from .acceptance import COEFFICIENT_KINDS, run_fixture_suite
@@ -27,6 +26,7 @@ from .complexes import bending_dimension
 from .fixtures import InputError
 from .linalg import DEFAULT_FLOAT_TOLERANCE, nullspace
 from .reps import Representation, validate_representation
+from .words import shown
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,7 +40,7 @@ def _float_tolerance() -> float:
     try:
         tol = float(raw)
     except ValueError as exc:
-        raise InputError(f"BENDLAB_FLOAT_TOL is not a number: {raw!r}") from exc
+        raise InputError(f"BENDLAB_FLOAT_TOL is not a number: {shown(raw)}") from exc
     if not 0 < tol < math.inf:  # also rejects nan
         raise InputError("BENDLAB_FLOAT_TOL must be positive and finite")
     return tol
@@ -49,7 +49,7 @@ def _float_tolerance() -> float:
 def _require_valid(rep: Representation, what: str) -> None:
     validation = validate_representation(rep)
     if not validation.ok:
-        bad = [str(c.relator) for c in validation.relator_checks if not c.is_identity]
+        bad = [shown(c.relator) for c in validation.relator_checks if not c.is_identity]
         raise InputError(f"{what} failed validation" + (
             f"; relators not killed: {bad}" if bad else " (form or determinant)"))
 
@@ -112,16 +112,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_branched_system(args) -> int:
     cx = fixtures.load_complex(args.complex)
-    tol = _float_tolerance()
-    with warnings.catch_warnings(record=True) as caught:  # mixed angles
-        warnings.simplefilter("always")
-        report = bending_dimension(cx, args.geometry, tol)
-    doc = report.to_json()
-    if not report.exact:
-        doc["rank_tolerance"] = tol
-    if caught:
-        doc["warnings"] = [str(w.message) for w in caught]
-    _emit(doc, args.output)
+    _emit(bending_dimension(cx, args.geometry, _float_tolerance()).to_json(), args.output)
     return EXIT_OK
 
 

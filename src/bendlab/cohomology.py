@@ -26,7 +26,7 @@ from math import lcm
 from .linalg import RationalMatrix, echelon, rref_rank
 from .modules import CoefficientModule
 from .reps import is_parabolic
-from .words import Presentation, Word
+from .words import Presentation, Word, shown
 
 MODES = ("none", "per_element", "per_subgroup")
 
@@ -241,11 +241,9 @@ def h1_report(presentation: Presentation, module: CoefficientModule,
             raise ValueError("per_subgroup mode needs cusp data")
         groups = [list(pair) for pair in presentation.cusps]
 
-    for w in (w for group in groups for w in group):
-        if not is_parabolic(module.rep.evaluate(w)):
-            n = len(w.letters)  # a long word is named by its first letters
-            name = w if n <= 32 else f"{Word(w.letters[:12])} ... ({n} letters)"
-            report.warnings.append(f"word {name} is not parabolic under the representation")
+    report.warnings = [f"word {shown(w)} is not parabolic under the representation"
+                       for group in groups for w in group
+                       if not is_parabolic(module.rep.evaluate(w))]
 
     report.dim_pz1 = space.parabolic_kernel_dim(groups)
     report.dim_ph1 = report.dim_pz1 - space.dim_b1

@@ -24,10 +24,10 @@ float backend runs the same loop on x/q and y/q over q = 1.0 and d = 1.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .linalg import DEFAULT_FLOAT_TOLERANCE, FloatMatrix, RationalMatrix, parse_rational
+from .words import shown
 
 NAMED_ANGLES = {"0": (1, 0), "pi/2": (0, 1), "pi": (-1, 0), "3pi/2": (0, -1)}
 
@@ -48,7 +48,7 @@ class Angle:
     @classmethod
     def named(cls, name: str) -> "Angle":
         if name not in NAMED_ANGLES:
-            raise ValueError(f"unknown angle name {name!r}; "
+            raise ValueError(f"unknown angle name {shown(name)}; "
                              f"known: {sorted(NAMED_ANGLES)}")
         return cls(*NAMED_ANGLES[name], 1, True)
 
@@ -58,7 +58,7 @@ class Angle:
         # c^2 + s^2 = 1 in lowest terms forces one denominator for both
         if r != q or x * x + y * y != q * q:
             c, s = (f"{p}/{d}" if d != 1 else str(p) for p, d in ((x, q), (y, r)))
-            raise ValueError(f"cos^2 + sin^2 != 1 for ({c}, {s})")
+            raise ValueError(f"cos^2 + sin^2 != 1 for ({shown(c, str)}, {shown(s, str)})")
         return cls(x, y, q, True)
 
     @classmethod
@@ -72,14 +72,13 @@ class Angle:
         if isinstance(data, str):
             return cls.named(data)
         if not isinstance(data, dict):
-            raise ValueError(f'an angle is a name or a {{"cos", "sin"}} object, got {data!r}')
+            raise ValueError(f'an angle is a name or a {{"cos", "sin"}} object, got {shown(data)}')
         c, s = data["cos"], data["sin"]
         if isinstance(c, str) and isinstance(s, str):
             return cls.exact_pair(c, s)
-        if not (type(c) in (int, float) and type(s) in (int, float) or all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in (c, s))):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (c, s)):
             raise ValueError(f'an angle\'s "cos" and "sin" are two strings or two numbers, '
-                             f"got {c!r} and {s!r}")
+                             f"got {shown(c)} and {shown(s)}")
         return cls.float_pair(float(c), float(s))
 
     def to_json(self):
@@ -104,7 +103,7 @@ class Incidence:
     def __post_init__(self):
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"incidence sign must be the integer 1 or -1, "
-                             f"got {self.sign!r}")
+                             f"got {shown(self.sign)}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +113,10 @@ class Binding:
 
     def __post_init__(self):
         if not self.incidences:
-            raise ValueError(f"binding {self.name} has no incidences")
+            raise ValueError(f"binding {shown(self.name, str)} has no incidences")
         first = self.incidences[0]
         if not (first.angle.is_zero and first.sign == 1):
-            raise ValueError(f"binding {self.name}: first incidence must sit at "
+            raise ValueError(f"binding {shown(self.name, str)}: first incidence must sit at "
                              "angle 0 with sign +1")
 
     @classmethod
@@ -145,15 +144,15 @@ class BendingComplex:
 
     def __post_init__(self):
         if type(self.dimension) is not int or self.dimension < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension!r}")
+            raise ValueError(f"dimension must be an integer >= 2, got {shown(self.dimension)}")
         if len(set(self.walls)) != len(self.walls):
             raise ValueError("wall names must be unique")
         known = set(self.walls)
         for b in self.bindings:
             for inc in b.incidences:
                 if inc.wall not in known:
-                    raise ValueError(f"binding {b.name} references unknown wall "
-                                     f"{inc.wall!r}")
+                    raise ValueError(f"binding {shown(b.name, str)} references "
+                                     f"unknown wall {shown(inc.wall)}")
 
     @classmethod
     def from_json(cls, data: dict) -> "BendingComplex":
@@ -173,20 +172,13 @@ GEOMETRIES = ("so", "sl")
 
 def build_system(complex_: BendingComplex, geometry: str,
                  rank_tolerance: float = DEFAULT_FLOAT_TOLERANCE):
-    """The stacked per-binding closure system over wall weights.
-
-    Returns a RationalMatrix when every angle is exact, otherwise a
-    FloatMatrix (with a warning if exact and float angles are mixed). The
-    exact rows are built on ints over one denominator, the lcm of all the
-    incidences' denominators (see the module docstring).
-    """
+    """The stacked per-binding closure system over wall weights: a
+    RationalMatrix when every angle is exact, otherwise a FloatMatrix (a mixed
+    complex is reported by :func:`bending_dimension`). The exact rows are ints
+    over the lcm of all the incidences' denominators (see the module docstring)."""
     if geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}")
-    kinds = {inc.angle.exact for b in complex_.bindings for inc in b.incidences}
-    exact = False not in kinds
-    if len(kinds) == 2:
-        warnings.warn("mixed exact and float angles; falling back to the "
-                      "float backend", stacklevel=2)
+    exact = all(inc.angle.exact for b in complex_.bindings for inc in b.incidences)
     idx = {w: k for k, w in enumerate(complex_.walls)}
     nw, height = len(complex_.walls), 2 if geometry == "so" else 3
     # exact sl rows are over q^2, and lcm(q^2, ...) = lcm(q, ...)^2
@@ -218,18 +210,19 @@ class BendingReport:
     naive_bound: int
     equal_weights_solve: bool
     exact: bool
+    rank_tolerance: float | None = None
+    warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {"nullity": self.nullity, "naive_bound": self.naive_bound,
-                "equal_weights_solve": self.equal_weights_solve,
-                "exact": self.exact}
+        return {k: v for k, v in vars(self).items() if v is not None and v != []}
 
 
 def bending_dimension(complex_: BendingComplex, geometry: str,
                       rank_tolerance: float = DEFAULT_FLOAT_TOLERANCE) -> BendingReport:
     """Kernel dimension of the closure system, the wall/binding count bound
     c_{n-1} - A c_{n-2} (A = 2 for so, 3 for sl), and whether equal weights
-    solve the system: exactly when every row's numerators sum to 0."""
+    solve the system: exactly when every row's numerators sum to 0. A float
+    report also holds ``rank_tolerance``, and warns if any angle is exact."""
     system = build_system(complex_, geometry, rank_tolerance)
     a = 2 if geometry == "so" else 3
     naive = len(complex_.walls) - a * len(complex_.bindings)
@@ -239,5 +232,7 @@ def bending_dimension(complex_: BendingComplex, geometry: str,
         nc = system.cols
         equal = not any(sum(nums[i * nc:(i + 1) * nc]) for i in range(system.rows))
         return BendingReport(nullity, naive, equal, True)
-    ones = [1] * len(complex_.walls)
-    return BendingReport(system.cols - system.rank(), naive, system.kills_vector(ones), False)
+    warnings = (["mixed exact and float angles; falling back to the float backend"]
+                if any(i.angle.exact for b in complex_.bindings for i in b.incidences) else [])
+    return BendingReport(system.cols - system.rank(), naive,
+                         system.kills_vector([1] * system.cols), False, rank_tolerance, warnings)

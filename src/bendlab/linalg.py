@@ -38,6 +38,8 @@ from functools import lru_cache
 from math import gcd, inf, lcm, prod
 from operator import itemgetter, mul
 
+from .words import shown
+
 DEFAULT_FLOAT_TOLERANCE = 1e-9
 KERNEL_TERMS = 256  # largest k*m multiplied by a compiled kernel; see _product
 MAX_EXPONENT = 4300  # Python's default limit on the digits of an int string
@@ -61,14 +63,17 @@ def parse_rational(x) -> tuple[int, int]:
         if "e" in x or "E" in x:
             m = _EXPONENT.search(x)
             if m and abs(int(m[1])) > MAX_EXPONENT:
-                raise ValueError(f"exponent beyond {MAX_EXPONENT} in {x[:40]!r}")
+                raise ValueError(f"exponent beyond {MAX_EXPONENT} in {shown(x)}")
     elif type(x) is int:
         return x, 1
     elif isinstance(x, Fraction):
         return x.numerator, x.denominator
     elif isinstance(x, float):
         raise TypeError("floats are not exact; use FloatMatrix or pass a string")
-    return Fraction(x).as_integer_ratio()
+    try:
+        return Fraction(x).as_integer_ratio()
+    except ValueError as exc:  # Fraction quotes all of x
+        raise ValueError(str(exc).replace(repr(x), shown(x))) from None
 
 
 def _common(xs) -> tuple[list[int], int]:

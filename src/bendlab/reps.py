@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RationalMatrix
-from .words import GroupRingElem, Presentation, Word
+from .words import GroupRingElem, Presentation, Word, shown
 
 
 def _with_unit(m: RationalMatrix) -> RationalMatrix:
@@ -99,12 +99,12 @@ class Representation:
         size = form.size
         for g in presentation.generators:
             if g not in images:
-                raise ValueError(f"no image for generator {g}")
+                raise ValueError(f"no image for generator {shown(g, str)}")
             m = images[g]
             if m.shape != (size, size):
-                raise ValueError(f"image of {g} is {m.shape}, expected {size}x{size}")
+                raise ValueError(f"image of {shown(g, str)} is {m.shape}, expected {size}x{size}")
         if extra := [g for g in images if g not in presentation.generators]:
-            raise ValueError(f"images for generators the presentation lacks: {extra}")
+            raise ValueError(f"images for generators the presentation lacks: {shown(extra)}")
         self.presentation = presentation
         self.images = dict(images)
         self.form = form

@@ -169,15 +169,25 @@ class GroupRingElem:
         return f"GroupRingElem({self})"
 
 
+def shown(value, form=repr) -> str:
+    """``value`` as a message quotes it: a word of over 32 letters by its first 12, any
+    other ``form(value)`` over 80 characters by its first 40, each with its length."""
+    if isinstance(value, Word):
+        n = len(value.letters)
+        return str(value) if n <= 32 else f"{Word(value.letters[:12])} ... ({n} letters)"
+    text = form(value)
+    return text if len(text) <= 80 else f"{text[:40]} ... ({len(text)} characters)"
+
+
 def generator_names(generators) -> tuple[str, ...]:
     """The names as a tuple, checked: unique non-empty strings holding no
     whitespace and none of ``()[]^,*``, and not ``1`` (the empty word)."""
     if not isinstance(generators, (list, tuple)):
-        raise WordError(f"generators must be a list of names, got {generators!r}")
+        raise WordError(f"generators must be a list of names, got {shown(generators)}")
     for g in generators:
         if (not isinstance(g, str) or not g or g == "1"
                 or any(ch.isspace() or ch in "()[]^,*" for ch in g)):
-            raise WordError(f"bad generator name {g!r}")
+            raise WordError(f"bad generator name {shown(g)}")
     if len(set(generators)) != len(generators):
         raise WordError("generator names must be unique")
     return tuple(generators)
@@ -208,7 +218,7 @@ class _Parser:
 
     def expect(self, ch):
         if self.peek() != ch:
-            raise WordError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
+            raise WordError(f"expected {ch!r} at position {self.pos} in {shown(self.text)}")
         self.pos += 1
 
     def parse_int(self):
@@ -217,11 +227,11 @@ class _Parser:
         if self.peek() == "-":
             self.pos += 1
         if not (self.pos < len(self.text) and self.text[self.pos].isdigit()):
-            raise WordError(f"expected integer at position {start} in {self.text!r}")
+            raise WordError(f"expected integer at position {start} in {shown(self.text)}")
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos - start > 8:  # past any letter bound; int() of long runs is slow
-            raise WordError(f"exponent too large at position {start} in {self.text!r}")
+            raise WordError(f"exponent too large at position {start} in {shown(self.text)}")
         return int(self.text[start:self.pos])
 
     def parse_word(self, closers=""):
@@ -261,21 +271,21 @@ class _Parser:
         if ch == "1":  # the empty word, as printed
             self.pos += 1
             return Word.empty()
-        raise WordError(f"unknown generator at position {self.pos} in {self.text!r}")
+        raise WordError(f"unknown generator at position {self.pos} in {shown(self.text)}")
 
 
 def parse_word(text: str, generators) -> Word:
     """Parse ``text`` over the named generators; result is freely reduced."""
     if not isinstance(text, str):
-        raise WordError(f"a word is a string, got {text!r}")
+        raise WordError(f"a word is a string, got {shown(text)}")
     p = _Parser(text, generator_names(generators))
     try:
         w = p.parse_word()
     except RecursionError:
-        raise WordError(f"brackets nested too deeply in {text[:40]!r}...") from None
+        raise WordError(f"brackets nested too deeply in {shown(text)}") from None
     p.skip()
     if p.pos != len(p.text):
-        raise WordError(f"trailing input at position {p.pos} in {text!r}")
+        raise WordError(f"trailing input at position {p.pos} in {shown(text)}")
     return w
 
 
@@ -308,7 +318,7 @@ class Presentation:
         gens = set(self.generators)
         for w in self.relators:
             if not w.generators_used() <= gens:
-                raise WordError(f"relator {w} uses unknown generators")
+                raise WordError(f"relator {shown(w)} uses unknown generators")
         for mu, lam in self.cusps:
             used = mu.generators_used() | lam.generators_used()
             if not used <= gens:

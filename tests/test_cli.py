@@ -13,12 +13,9 @@ from bendlab.cli import main
 from bendlab.fixtures import DATA
 from bendlab.linalg import RationalMatrix
 from bendlab.words import parse_word
+from helpers import ERROR_LINE_BYTES, bundled_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
-def bundled_json(name):
-    return json.loads((DATA / name).read_text())
 
 
 @pytest.fixture()
@@ -58,7 +55,8 @@ def test_validate_defaults_to_bundled(capsys):
     assert code == 0 and doc["ok"]
 
 
-@pytest.mark.parametrize("generators", [5, ["x", ""], "xyz", None])
+@pytest.mark.parametrize("generators", [5, ["x", ""], "xyz", None,
+                                        ["x", "y", "z", "g" * 49_999 + "("]])
 def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     pres = dict(bundled_json("borromean_presentation.json"), generators=generators)
     if generators is None:  # no "relators" key
@@ -72,6 +70,7 @@ def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: bad presentation file")
+    assert len(done.stderr.encode()) <= ERROR_LINE_BYTES, done.stderr
     if generators is None:  # named in words, not a bare KeyError repr
         assert done.stderr.rstrip().endswith("missing key 'relators'"), done.stderr
 
@@ -89,6 +88,9 @@ def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     dict(bundled_json("borromean_representation.json"),
          images=dict(bundled_json("borromean_representation.json")["images"],
                      w=[["0"] * 4] * 4)),
+    dict(bundled_json("borromean_representation.json"),
+         images=dict(bundled_json("borromean_representation.json")["images"],
+                     **{"g" * 50_000: [["1", "0"], ["0", "1"]]})),
 ])
 def test_validate_malformed_representation_is_input_error(tmp_path, rep):
     path = tmp_path / "rep.json"
@@ -99,6 +101,7 @@ def test_validate_malformed_representation_is_input_error(tmp_path, rep):
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: bad representation file")
+    assert len(done.stderr.encode()) <= ERROR_LINE_BYTES, done.stderr
     if isinstance(rep, dict) and "form" not in rep:  # named, not a KeyError repr
         assert 'needs a "form" matrix' in done.stderr
     images = rep.get("images") if isinstance(rep, dict) else None
@@ -300,6 +303,8 @@ NO_NAME = fixture_complex(bindings=[{"incidences": [{"wall": "w1", "angle": "0"}
     complex_with_angle({"cos": "0.6", "sin": 0.8}),
     NO_SIN,
     NO_NAME,
+    fixture_complex(dimension=list(range(20_000))),
+    complex_with_angle({"cos": list(range(20_000)), "sin": "0"}),
 ])
 def test_branched_system_malformed_complex_is_input_error(tmp_path, data):
     path = tmp_path / "complex.json"
@@ -307,6 +312,7 @@ def test_branched_system_malformed_complex_is_input_error(tmp_path, data):
     done = run_child("branched-system", str(path), "--geometry", "so")
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: bad complex file"), done.stderr
+    assert len(done.stderr.encode()) <= ERROR_LINE_BYTES, done.stderr
     if data is NO_SIN or data is NO_NAME:  # named in words, not a bare KeyError repr
         key = "sin" if data is NO_SIN else "name"
         assert done.stderr.rstrip().endswith(f"missing key '{key}'"), done.stderr
@@ -386,13 +392,15 @@ def test_bend_malformed_pants_is_input_error(tmp_path, pants):
         assert done.stderr.rstrip().endswith("missing key 'stable'"), done.stderr
 
 
-@pytest.mark.parametrize("line", ["x (", "x^99999999999", "q"])
+@pytest.mark.parametrize("line", ["x (", "x^99999999999", "q",
+                                  pytest.param("x " * 20_000 + "q", id="20000-letters-then-q")])
 def test_bend_malformed_words_is_input_error(tmp_path, fixture_files, line):
     words = tmp_path / "words.txt"
     words.write_text(f"x y\n{line}\n")
     done = run_child("bend", "--pants", fixture_files["pants"], "--words", str(words))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: bad words file"), done.stderr
+    assert len(done.stderr.encode()) <= ERROR_LINE_BYTES, done.stderr
 
 
 @pytest.mark.parametrize("walls,code", [(["bad", "P_RB"], 0), (["bad"], 1)])
@@ -545,6 +553,14 @@ def test_bundled_defaults_follow_the_same_path_as_an_explicit_rep(tmp_path):
     done = run_child("cohomology", "--presentation", path)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: representation failed validation"), done.stderr
+    # and a long one is named by its first letters and its length
+    pres = bundled_json("borromean_presentation.json")
+    pres["relators"].append("(x y^-1 z)^1000")
+    done = run_child("cohomology", "--presentation", write_json(tmp_path / "long.json", pres))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.rstrip().endswith("relators not killed: "
+                                         f"['{'x y^-1 z ' * 4}... (3000 letters)']"), done.stderr
+    assert len(done.stderr.encode()) <= ERROR_LINE_BYTES, done.stderr
 
 
 BUNDLED_INPUTS = ["--presentation", str(DATA / "borromean_presentation.json"),

@@ -12,17 +12,13 @@ from bendlab.linalg import RationalMatrix, in_column_space, nullspace, rref_rank
 from bendlab.modules import CoefficientModule
 from bendlab.reps import QuadraticForm, Representation, validate_representation
 from bendlab.words import Presentation, Word, parse_word
+from helpers import rand_word
 
 EXPECTED = {
     "standard": dict(z1=7, b1=4, h0=0, h1=3, pz1=4, ph1=0, peri=[1, 1, 1]),
     "nu": dict(z1=15, b1=9, h0=0, h1=6, pz1=12, ph1=3, peri=[1, 1, 1]),
     "adjoint": dict(z1=12, b1=6, h0=0, h1=6, pz1=6, ph1=0, peri=[2, 2, 2]),
 }
-
-
-def rand_word(rng, gens, max_len=8):
-    return Word([(rng.choice(gens), rng.choice((1, -1)))
-                 for _ in range(rng.randint(0, max_len))])
 
 
 def test_standard_jacobian_shape_and_rank(spaces):
@@ -117,7 +113,7 @@ def test_coboundary_extension_identity(spaces, modules, borromean):
     for _ in range(60):
         alpha = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
         c = space.coboundary(alpha)
-        word = rand_word(rng, borromean.generators)
+        word = rand_word(rng, borromean.generators, 8)
         assert (cocycle_eval(space, c, word)
                 == (ident - module.action(word)).matvec(alpha))
 

@@ -7,6 +7,7 @@ import pytest
 from bendlab.complexes import (Angle, BendingComplex, Binding, Incidence,
                                bending_dimension, build_system)
 from bendlab.linalg import FloatMatrix, RationalMatrix, rref_rank
+from helpers import pythagorean_pair
 
 RIGHT_ANGLES = ["0", "pi/2", "pi", "3pi/2"]
 
@@ -180,21 +181,26 @@ def test_rank_nullity_over_geometries(bundle):
         assert report.nullity >= report.naive_bound
 
 
+MIXED = "mixed exact and float angles; falling back to the float backend"
+
+
 def test_mixed_angles_warn_and_fall_back_to_float():
     pairs = [Angle.exact_pair(1, 0), Angle.float_pair(math.cos(2.0), math.sin(2.0)),
              Angle.float_pair(math.cos(4.0), math.sin(4.0))]
     cx = single_binding(pairs)
-    with pytest.warns(UserWarning):
-        system = build_system(cx, "so")
-    assert isinstance(system, FloatMatrix)
-    with pytest.warns(UserWarning):
-        assert not bending_dimension(cx, "so").exact
+    assert isinstance(build_system(cx, "so"), FloatMatrix)
+    report = bending_dimension(cx, "so")
+    assert not report.exact and report.warnings == [MIXED]
+    # the warning is in the report and its document, after the tolerance
+    assert list(report.to_json())[-2:] == ["rank_tolerance", "warnings"]
+    floats = bending_dimension(single_binding([Angle.float_pair(1.0, 0.0)] + pairs[1:]), "so")
+    assert not floats.exact and floats.warnings == [] and "warnings" not in floats.to_json()
     # an exact angle enters the float rows as float(Fraction(x, q)), bit for bit
     exact = [Angle.exact_pair(1, 0), Angle.exact_pair("-12/13", "5/13"),
              Angle.exact_pair("4/5", "-3/5"), Angle.exact_pair("8/17", "15/17")]
     mixed = single_binding(exact + [Angle.float_pair(math.cos(2.0), math.sin(2.0))])
-    with pytest.warns(UserWarning):
-        rows = build_system(mixed, "so").entries
+    rows = build_system(mixed, "so").entries
+    assert bending_dimension(mixed, "so").warnings == [MIXED]
     assert rows[:4] == [float(Fraction(a.x, a.q)) for a in exact]
     assert rows[5:9] == [float(Fraction(a.y, a.q)) for a in exact]
 
@@ -249,16 +255,6 @@ def paper_sl_blocks(cx):
     return blocks
 
 
-def euclid_angle(rng, height):
-    m = rng.randint(2, height)
-    k = rng.randint(1, m - 1)
-    a, b, c = m * m - k * k, 2 * m * k, m * m + k * k
-    if rng.random() < 0.5:
-        a, b = b, a
-    return Angle.exact_pair(Fraction(rng.choice((1, -1)) * a, c),
-                            Fraction(rng.choice((1, -1)) * b, c))
-
-
 def seeded_complex(rng, n, nwalls):
     """Pythagorean angles of mixed heights (and some named angles), both
     signs, and walls drawn with replacement, so that one wall can meet a
@@ -269,7 +265,7 @@ def seeded_complex(rng, n, nwalls):
         incs = [Incidence(rng.choice(walls), Angle.named("0"))]
         for _ in range(rng.randint(1, 7)):
             angle = (Angle.named(rng.choice(RIGHT_ANGLES)) if rng.random() < 0.15
-                     else euclid_angle(rng, rng.choice((4, 16, 64, 1000))))
+                     else Angle.exact_pair(*pythagorean_pair(rng, rng.choice((4, 16, 64, 1000)))))
             incs.append(Incidence(rng.choice(walls), angle, rng.choice((1, -1))))
         bindings.append(Binding(f"b{b}", tuple(incs)))
     return BendingComplex(n, walls, tuple(bindings))
@@ -370,7 +366,7 @@ def test_int_reader_matches_the_fraction_route():
     rng = random.Random(2525)
     bad = 0
     for _ in range(400):
-        c, s = cos_sin(euclid_angle(rng, rng.choice((4, 16, 64))))
+        c, s = pythagorean_pair(rng, rng.choice((4, 16, 64)))
         if rng.random() < 0.25:  # off the circle, or over two denominators
             c, s = rng.choice([(c + Fraction(1, c.denominator), s), (c, s / 2),
                                (Fraction(c.numerator, 7 * c.denominator), s)])

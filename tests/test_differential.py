@@ -33,6 +33,7 @@ from bendlab.linalg import (FloatMatrix, RationalMatrix, in_column_space, nullsp
                             rank_of_vectors, rref_rank)
 from bendlab.modules import CoefficientModule
 from bendlab.words import Word, fox_derivative, parse_word
+from helpers import pythagorean_pair
 
 KINDS = ("standard", "nu", "adjoint")
 
@@ -220,17 +221,6 @@ def test_cuspidal_defect_matches_the_walked_solve(kind, conjugated, spaces, rho,
     assert True in outcomes and False in outcomes
 
 
-def pythagorean_angle(rng, height):
-    """An exact angle a/c, b/c from Euclid's formula with m <= height."""
-    m = rng.randint(2, height)
-    n = rng.randint(1, m - 1)
-    a, b, c = m * m - n * n, 2 * m * n, m * m + n * n
-    if rng.random() < 0.5:
-        a, b = b, a
-    return Angle.exact_pair(Fraction(rng.choice((1, -1)) * a, c),
-                            Fraction(rng.choice((1, -1)) * b, c))
-
-
 def seeded_complex_and_float_twin(rng, nwalls, height):
     """A complex at Pythagorean angles (with some named angles and repeated
     bindings, so that ranks fall short of the row count) and its float twin."""
@@ -244,7 +234,7 @@ def seeded_complex_and_float_twin(rng, nwalls, height):
         incs = [Incidence(chosen[0], Angle.named("0"))]
         for wall in chosen[1:]:
             angle = (Angle.named(rng.choice(("pi/2", "pi", "3pi/2"))) if rng.random() < 0.15
-                     else pythagorean_angle(rng, height))
+                     else Angle.exact_pair(*pythagorean_pair(rng, height)))
             incs.append(Incidence(wall, angle, rng.choice((1, -1))))
         bindings.append(Binding(f"b{b}", tuple(incs)))
     twin = [Binding(b.name, tuple(Incidence(i.wall, Angle.float_pair(i.angle.x / i.angle.q,

@@ -40,6 +40,7 @@ from bendlab.linalg import (KERNEL_TERMS, FloatMatrix, RationalMatrix, _eliminat
                             _product, _sparsest_first, echelon, in_column_space, nullspace,
                             rref_rank)
 from bendlab.words import Word
+from helpers import pythagorean_pair
 
 
 def ref_rref(rows):
@@ -405,17 +406,6 @@ def test_empty_ranks(shape):
     assert FloatMatrix(nr, nc, []).rank() == 0
 
 
-def pythagorean_angle(rng, height):
-    """cos and sin of an angle with both rational: ((m^2 - n^2), 2mn) / (m^2 + n^2)
-    for 0 < n < m <= height, in a random quadrant, the two possibly swapped."""
-    m = rng.randint(2, height)
-    n = rng.randint(1, m - 1)
-    c, s = Fraction(m * m - n * n, m * m + n * n), Fraction(2 * m * n, m * m + n * n)
-    if rng.random() < 0.5:
-        c, s = s, c
-    return rng.choice((1, -1)) * c, rng.choice((1, -1)) * s
-
-
 def closure_complexes(rng):
     """A 24-36-wall complex with 3-8 incidences per binding at exact
     Pythagorean angles, and its twin with the same angles as floats."""
@@ -425,7 +415,7 @@ def closure_complexes(rng):
     for b in range(len(walls) * 3 // 10):
         incs, fincs = [], []
         for k, wall in enumerate(rng.sample(walls, rng.randint(3, 8))):
-            c, s = (Fraction(1), Fraction(0)) if k == 0 else pythagorean_angle(rng, height)
+            c, s = (Fraction(1), Fraction(0)) if k == 0 else pythagorean_pair(rng, height)
             sign = 1 if k == 0 else rng.choice((1, -1))
             incs.append(Incidence(wall, Angle.exact_pair(c, s), sign))
             fincs.append(Incidence(wall, Angle.float_pair(float(c), float(s)), sign))

@@ -1,8 +1,9 @@
 """Property fuzzing of the input surface: the word parser returns a freely
 reduced word or raises ``WordError``, and each input reader behind the CLI
 (the presentation, representation, complex and pants files) either returns or
-raises ``InputError``, which the CLI turns into exit 2 with a message. None
-lets another exception out, and each example runs within a time bound. The
+raises ``InputError``, which the CLI turns into exit 2 with a message of at
+most ``ERROR_LINE_BYTES``, however long the input it quotes. None lets another
+exception out, and each example runs within a time bound. The
 ``bend`` and ``cohomology`` commands are fuzzed whole as well, since a reader
 can accept a document that the command rejects later: each returns 0, 1 or 2.
 
@@ -21,15 +22,12 @@ from hypothesis import strategies as st
 
 from bendlab import cli, fixtures
 from bendlab.words import MAX_WORD_LETTERS, Word, WordError, parse_word
+from helpers import ERROR_LINE_BYTES, bundled_json
 
 GENS = ("x", "y", "z")
 PRESENTATION = fixtures.load_presentation()
 FUZZ = settings(max_examples=120, deadline=timedelta(seconds=5), derandomize=True,
                 database=None)
-
-
-def bundled_json(name):
-    return json.loads((fixtures.DATA / name).read_text())
 
 
 # words from the grammar, with exponents of up to ten digits and nested brackets
@@ -38,8 +36,11 @@ grammar_words = st.recursive(
     lambda inner: st.builds("({})^{}".format, inner, st.integers(-10 ** 9, 10 ** 9))
     | st.builds("[{},{}]".format, inner, inner)
     | st.builds("{} {}".format, inner, inner), max_leaves=12)
+# long runs of one token, which a message must not quote whole
+long_text = st.builds(str.__mul__, st.sampled_from(["x", "y^-1 ", "9", "q"]),
+                      st.integers(81, 2000))
 word_text = (grammar_words | st.text(alphabet="xyz()[]^,-0123456789 *1\t", max_size=40)
-             | st.text(max_size=12))
+             | st.text(max_size=12) | long_text)
 scalars = (st.none() | st.booleans() | st.integers() | st.floats() | word_text
            | st.sampled_from(["0", "1/0", "3/5", "4/5", "-1", "pi/2", "1e3"]))
 json_values = st.recursive(
@@ -53,13 +54,14 @@ def either(outline):
 
 def load(loader, document, *args):
     """Write ``document`` as JSON and run ``loader(*args, path=path)``: its
-    result, or None when it raised ``InputError``."""
+    result, or None when it raised ``InputError`` with a bounded message."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(document))
         try:
             return loader(*args, path=str(path))
-        except cli.InputError:
+        except cli.InputError as exc:
+            assert len(f"error: {exc}\n".encode()) <= ERROR_LINE_BYTES, exc
             return None
 
 

@@ -239,6 +239,22 @@ def test_huge_exponents_are_rejected_before_fraction_expands_them(text, monkeypa
             read(text)
 
 
+@pytest.mark.parametrize("text", ["abc", "3/5/7", "x" * 20_000, "1e" + "9" * 5000 + "x"],
+                         ids=["abc", "two-slashes", "20000-x", "5000-digit-exponent-then-x"])
+def test_reader_errors_are_fractions_but_quote_long_text_by_its_start(text):
+    with pytest.raises(ValueError) as want:
+        Fraction(text)
+    with pytest.raises(ValueError) as got:
+        parse_rational(text)
+    if len(repr(text)) <= 80:  # word for word
+        assert str(got.value) == str(want.value)
+    else:
+        assert str(got.value).endswith(f" ... ({len(repr(text))} characters)"), got.value
+        assert len(str(got.value)) < 120
+    with pytest.raises(ValueError, match=rf"^exponent beyond {MAX_EXPONENT} in '1e9{{37}} \.\.\."):
+        parse_rational("1e" + "9" * 100)
+
+
 # Fraction(str)'s grammar differs between interpreters (3.10 rejects "3_0/5",
 # 3.12 and later accept "3 / 5"), so the reader is held to the running one's
 READER_CORPUS = ["3/5", "-12", "10/4", "+3/5", " 3/5 ", "3 / 5", "3_0/5", "\u0663/5", "0.6",

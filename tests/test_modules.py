@@ -9,6 +9,7 @@ from bendlab.linalg import RationalMatrix, in_column_space, rank_of_vectors, rre
 from bendlab.modules import CoefficientModule
 from bendlab.reps import QuadraticForm, Representation
 from bendlab.words import GroupRingElem, Word
+from helpers import rand_word
 
 
 def as_columns(matrices) -> RationalMatrix:
@@ -23,11 +24,6 @@ def reference_coordinates(module, m):
     if coords is None:
         raise ValueError("matrix is not in the module subspace")
     return coords
-
-
-def rand_word(rng, gens, max_len=8):
-    return Word([(rng.choice(gens), rng.choice((1, -1)))
-                 for _ in range(rng.randint(0, max_len))])
 
 
 def test_dimensions(modules):

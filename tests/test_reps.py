@@ -10,11 +10,17 @@ from bendlab.reps import (CACHE_ENTRIES, FirstOrderRep, QuadraticForm, Represent
                           first_order_evaluate, is_parabolic,
                           validate_representation)
 from bendlab.words import GroupRingElem, Presentation, Word, parse_word
+from helpers import rand_word
 
 
-def rand_word(rng, gens, max_len=12):
-    return Word([(rng.choice(gens), rng.choice((1, -1)))
-                 for _ in range(rng.randint(0, max_len))])
+def test_a_long_generator_name_is_quoted_by_its_start(borromean, rho):
+    long = "g" * 50_000
+    pres = Presentation(borromean.generators + (long,), borromean.relators)
+    with pytest.raises(ValueError,
+                       match=r"^no image for generator g{40} \.\.\. \(50000 characters\)$"):
+        Representation(pres, rho.images, rho.form)
+    with pytest.raises(ValueError, match=r"lacks: \['g{38} \.\.\. \(50004 characters\)$"):
+        Representation(borromean, {**rho.images, long: rho.images["x"]}, rho.form)
 
 
 def test_evaluate_empty_word_is_identity(rho):
@@ -34,7 +40,7 @@ def test_evaluate_is_homomorphism(rho, borromean):
     rng = random.Random(10)
     gens = borromean.generators
     for _ in range(80):
-        u, v = rand_word(rng, gens), rand_word(rng, gens)
+        u, v = rand_word(rng, gens, 12), rand_word(rng, gens, 12)
         assert rho.evaluate(u * v) == rho.evaluate(u) * rho.evaluate(v)
 
 
@@ -50,7 +56,7 @@ def test_form_preservation_propagates(rho, borromean):
     rng = random.Random(11)
     q = rho.form.matrix
     for _ in range(40):
-        m = rho.evaluate(rand_word(rng, borromean.generators))
+        m = rho.evaluate(rand_word(rng, borromean.generators, 12))
         assert m.transpose() * q * m == q
 
 
@@ -140,7 +146,7 @@ def test_first_order_zero_derivative(rho, borromean):
     fo = FirstOrderRep(rho, {})
     rng = random.Random(12)
     for _ in range(20):
-        word = rand_word(rng, borromean.generators)
+        word = rand_word(rng, borromean.generators, 12)
         m, e = first_order_evaluate(fo, word)
         assert m == rho.evaluate(word)
         assert e.is_zero()

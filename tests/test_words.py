@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bendlab.words import (MAX_WORD_LETTERS, GroupRingElem, Presentation, Word,
-                           WordError, fox_derivative, parse_word)
+                           WordError, fox_derivative, parse_word, shown)
+from helpers import rand_word
 
 GENS = ("x", "y", "z")
 
@@ -109,6 +110,30 @@ def test_parse_rejects_words_past_the_letter_bound(text):
     assert len(w("(x x^-1)^60000")) == 0  # the group is reduced before the power
 
 
+def test_shown_quotes_long_input_by_its_start_and_length():
+    # a word of up to 32 letters whole, a longer one by its first 12 letters
+    assert shown(w("(x y^-1 z)^10")) == "x y^-1 z " * 9 + "x y^-1 z"
+    assert shown(w("(x y^-1 z)^11")) == "x y^-1 z " * 4 + "... (33 letters)"
+    # anything else whole up to 80 characters of its repr (or str), else its first 40
+    assert shown("a" * 78) == repr("a" * 78) and shown(["w"]) == "['w']"
+    assert shown("a" * 79) == "'" + "a" * 39 + " ... (81 characters)"
+    assert (shown(list(range(20_000)))
+            == "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1 ... (128890 characters)")
+    assert shown("g" * 80, str) == "g" * 80
+    assert shown("g" * 81, str) == "g" * 40 + " ... (81 characters)"
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 5000 + "x" + ")" * 5000, "x " * 20_000 + "q", "x " * 20_000 + "(",
+    "x^123456789" + " x" * 20_000, "x ]" + " x" * 20_000,
+], ids=["deep", "unknown-generator", "unclosed", "large-exponent", "trailing"])
+def test_parse_errors_quote_long_text_by_its_start(text):
+    with pytest.raises(WordError) as caught:
+        w(text)
+    assert str(caught.value).endswith(f" ... ({len(repr(text))} characters)"), caught.value
+    assert len(str(caught.value)) < 120
+
+
 def test_parse_rejects_deep_brackets_and_non_strings():
     with pytest.raises(WordError, match="nested too deeply"):
         w("(" * 5000 + "x" + ")" * 5000)
@@ -156,11 +181,6 @@ def test_reduction_order_independent():
         assert forward == backward
 
 
-def rand_word(rng, max_len=30):
-    return Word([(rng.choice(GENS), rng.choice((1, -1)))
-                 for _ in range(rng.randint(0, max_len))])
-
-
 def test_fox_derivative_basics():
     one = GroupRingElem.one()
     assert fox_derivative(w("x"), "x") == one
@@ -202,13 +222,13 @@ def test_fox_fundamental_identity_on_relators(borromean):
 def test_fox_fundamental_identity_randomized():
     rng = random.Random(7)
     for _ in range(300):
-        assert fundamental_identity_holds(rand_word(rng))
+        assert fundamental_identity_holds(rand_word(rng, GENS, 30))
 
 
 def test_fox_inverse_formula_randomized():
     rng = random.Random(8)
     for _ in range(150):
-        word = rand_word(rng, 20)
+        word = rand_word(rng, GENS, 20)
         for g in GENS:
             lhs = fox_derivative(word.inverse(), g)
             rhs = -(GroupRingElem.from_word(word.inverse()) * fox_derivative(word, g))
@@ -231,7 +251,7 @@ def product_rule_walk(word, gen):
 def test_fox_derivative_matches_product_rule_walk():
     rng = random.Random(10)
     for _ in range(200):
-        word = rand_word(rng, 40)
+        word = rand_word(rng, GENS, 40)
         for g in GENS:
             assert fox_derivative(word, g) == product_rule_walk(word, g), (word, g)
 
@@ -254,8 +274,8 @@ def test_fox_derivative_of_a_long_word_is_fast():
 def test_group_ring_associative_distributive():
     rng = random.Random(9)
     for _ in range(60):
-        a, b, c = (GroupRingElem({rand_word(rng, 6): rng.randint(-3, 3),
-                                  rand_word(rng, 6): rng.randint(-3, 3)})
+        a, b, c = (GroupRingElem({rand_word(rng, GENS, 6): rng.randint(-3, 3),
+                                  rand_word(rng, GENS, 6): rng.randint(-3, 3)})
                    for _ in range(3))
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
