@@ -1,16 +1,19 @@
-"""The one-shot verification suite over the Borromean fixture bundle.
+"""The one-shot verification suite over the Borromean fixture.
 
-Each check records its expected and computed values; the CLI's ``borromean``
-subcommand and the acceptance test module both run these, on the bundled
-presentation and representation or on ones given in their place. Randomized
-property suites use fixed seeds, so output is deterministic.
+A ``Suite`` holds a presentation and a representation (the bundled ones or
+ones given in their place) with the bundled walls, complex, trace words and
+reference read around them, and caches the cocycle spaces and reports its
+checks share. Each check records its expected and computed values; the CLI's
+``borromean`` subcommand and the acceptance test module both run them. The
+five randomized property suites use fixed seeds, so output is deterministic,
+and each ends in one ``_tally`` of its cases.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bending import (MODULE_KIND, centralizer_generator, hnn_first_order,
@@ -20,7 +23,8 @@ from .cohomology import (CocycleSpace, class_span_dim, cocycle_eval, h1_report,
                          is_cuspidal, peripheral_invariant_dims, scannell_check)
 from .complexes import (Angle, BendingComplex, Binding, Incidence,
                         bending_dimension, build_system)
-from .fixtures import FixtureBundle
+from .fixtures import (PANTS_TRACE, load_complex, load_pants, load_trace_reference,
+                       load_words)
 from .linalg import RationalMatrix, in_column_space, nullspace, rank_of_vectors, rref_rank
 from .modules import CoefficientModule
 from .reps import first_order_evaluate
@@ -53,31 +57,36 @@ class CheckResult:
                 "expected": self.expected, "computed": self.computed}
 
 
-@dataclass
-class SuiteContext:
-    bundle: FixtureBundle
-    spaces: dict = field(default_factory=dict)
-    reports: dict = field(default_factory=dict)
+class Suite:
+    """The bundled walls, complex, trace words and reference around
+    ``presentation`` and ``representation``, and the cocycle spaces and
+    reports of its checks; raises InputError when ``presentation`` cannot
+    parse the walls or words."""
 
-    def module(self, kind: str):
-        return self.bundle.representation.module(kind)
+    def __init__(self, presentation, representation):
+        self.presentation = presentation
+        self.representation = representation
+        self.pants = load_pants(presentation, "sl")
+        self.pants_trace = load_pants(presentation, "sl", PANTS_TRACE)
+        self.complex = load_complex()
+        self.trace_words = load_words(presentation)
+        self.trace_reference = load_trace_reference()
+        self.spaces = {}
+        self.reports = {}
 
     def space(self, kind: str) -> CocycleSpace:
         if kind not in self.spaces:
-            self.spaces[kind] = CocycleSpace(self.bundle.presentation,
-                                             self.module(kind))
+            self.spaces[kind] = CocycleSpace(self.presentation, self.representation.module(kind))
         return self.spaces[kind]
 
     def report(self, kind: str, mode: str):
-        key = (kind, mode)
-        if key not in self.reports:
-            self.reports[key] = h1_report(self.bundle.presentation,
-                                          self.module(kind), mode=mode,
-                                          space=self.space(kind))
-        return self.reports[key]
+        if (kind, mode) not in self.reports:
+            self.reports[kind, mode] = h1_report(self.presentation, self.representation.module(kind),
+                                                 mode=mode, space=self.space(kind))
+        return self.reports[kind, mode]
 
 
-def check_dimensions(ctx: SuiteContext, kinds=("standard", "nu", "adjoint")):
+def check_dimensions(ctx: Suite, kinds=("standard", "nu", "adjoint")):
     """Criteria 1-3: headline cohomology dimensions."""
     expected = {"standard": {"H1": 3, "PH1": 0},
                 "nu": {"H1": 6, "PH1": 3},
@@ -94,12 +103,12 @@ def check_dimensions(ctx: SuiteContext, kinds=("standard", "nu", "adjoint")):
     return out
 
 
-def check_scannell(ctx: SuiteContext, kinds=("standard", "nu")):
+def check_scannell(ctx: Suite, kinds=("standard", "nu")):
     """Criterion 4: restriction identity with per-cusp peripheral invariants."""
     out = []
     for kind in kinds:
         rep = ctx.report(kind, "per_subgroup")
-        peri = peripheral_invariant_dims(ctx.bundle.presentation, ctx.module(kind))
+        peri = peripheral_invariant_dims(ctx.presentation, ctx.representation.module(kind))
         ok = (scannell_check(rep, sum(peri)) and peri == [1, 1, 1]
               and rep.dim_h1 - rep.dim_ph1 == 3)
         out.append(CheckResult("4", f"{kind}: H1 - PH1 = per-cusp invariants",
@@ -109,7 +118,7 @@ def check_scannell(ctx: SuiteContext, kinds=("standard", "nu")):
     return out
 
 
-def check_parabolic_agreement(ctx: SuiteContext,
+def check_parabolic_agreement(ctx: Suite,
                               kinds=("standard", "nu", "adjoint")):
     """Criterion 5: per-element equals per-subgroup on every module."""
     out = []
@@ -123,11 +132,10 @@ def check_parabolic_agreement(ctx: SuiteContext,
     return out
 
 
-def check_borromean_complex(ctx: SuiteContext):
+def check_borromean_complex(ctx: Suite):
     """Criterion 6: the four-wall complex reduces to omega_3 = omega_2."""
-    system = ctx.bundle.complex
-    report = bending_dimension(system, "so")
-    red, rank, _ = rref_rank(build_system(system, "so"))
+    report = bending_dimension(ctx.complex, "so")
+    red, rank, _ = rref_rank(build_system(ctx.complex, "so"))
     single_relation = (rank == 1 and list(red.row(0)) ==
                        [Fraction(0), Fraction(1), Fraction(-1), Fraction(0)])
     ok = (report.nullity == 3 and report.naive_bound == -2 and single_relation)
@@ -139,7 +147,7 @@ def check_borromean_complex(ctx: SuiteContext):
                          "rank": rank})]
 
 
-def check_roots_of_unity(ctx: SuiteContext):
+def check_roots_of_unity(ctx: Suite):
     """Criterion 7: equal weights solve single k-valent bindings, k = 3..12."""
     failures = []
     for k in range(3, 13):
@@ -151,15 +159,13 @@ def check_roots_of_unity(ctx: SuiteContext):
         walls = tuple(f"v{j}" for j in range(k))
         binding = Binding("b", tuple(Incidence(walls[j], angles[j])
                                      for j in range(k)))
-        cx = BendingComplex(3, walls, (binding,))
-        rep = bending_dimension(cx, "so")
-        if not rep.equal_weights_solve:
+        if not bending_dimension(BendingComplex(3, walls, (binding,)), "so").equal_weights_solve:
             failures.append(k)
     return [CheckResult("7", "equal weights at k-th roots of unity, k=3..12",
                         not failures, [], failures)]
 
 
-def check_pythagorean_ranks(ctx: SuiteContext):
+def check_pythagorean_ranks(ctx: Suite):
     """Criterion 8: generic exact angles give nullity k-2 (so) and k-3 (sl)."""
     results = {}
     ok = True
@@ -184,23 +190,17 @@ def _bend(rep, data):
             for datum in data]
 
 
-def check_trace_matrix(ctx: SuiteContext):
+def check_trace_matrix(ctx: Suite):
     """Criteria 9-10: rank and entrywise reproduction of the reference."""
-    f = trace_derivative_matrix(_bend(ctx.bundle.representation, ctx.bundle.pants_trace),
-                                ctx.bundle.trace_words)
+    f = trace_derivative_matrix(_bend(ctx.representation, ctx.pants_trace),
+                                ctx.trace_words)
     rank = f.rank()
     out = [CheckResult("9", "trace-derivative matrix rank", rank == 6, 6, rank)]
-    match = match_up_to_column_signs_and_scale(f, ctx.bundle.trace_reference)
-    if match is None:
-        out.append(CheckResult("10", "trace matrix matches reference", False,
-                               "scale * column signs", "no transformation found"))
-    else:
-        scale, signs = match
-        out.append(CheckResult("10", "trace matrix matches reference", True,
-                               "scale * column signs",
-                               {"global_scale": str(scale),
-                                "column_signs": signs}))
-    return out
+    match = match_up_to_column_signs_and_scale(f, ctx.trace_reference)
+    found = ("no transformation found" if match is None
+             else {"global_scale": str(match[0]), "column_signs": match[1]})
+    return out + [CheckResult("10", "trace matrix matches reference", match is not None,
+                              "scale * column signs", found)]
 
 
 # the fixture's cusps in presentation order (meridians x, y, z); the wall
@@ -213,22 +213,22 @@ STANDARD_RELATIONS = (("RG", "GR"), ("BR", "RB"), ("GB", "BG"),
                       ("RG", "BR", "GB"))
 
 
-def bending_cocycles(ctx: SuiteContext, geometry: str):
+def bending_cocycles(ctx: Suite, geometry: str):
     """Tangent cocycles of the six fixture bendings in the given geometry."""
-    module = ctx.module(MODULE_KIND[geometry])
-    data = [replace(datum, geometry=geometry) for datum in ctx.bundle.pants]
+    module = ctx.representation.module(MODULE_KIND[geometry])
+    data = [replace(datum, geometry=geometry) for datum in ctx.pants]
     return [tangent_cocycle(fo, module)
-            for fo in _bend(ctx.bundle.representation, data)]
+            for fo in _bend(ctx.representation, data)]
 
 
-def check_nu_class_span(ctx: SuiteContext):
+def check_nu_class_span(ctx: Suite):
     """Criterion 11, nu half: the six tangent cocycles span H^1."""
     nu_span = class_span_dim(ctx.space("nu"), bending_cocycles(ctx, "sl"))
     return [CheckResult("11", "six nu cocycles: class span", nu_span == 6,
                         6, nu_span)]
 
 
-def check_standard_class_span(ctx: SuiteContext):
+def check_standard_class_span(ctx: Suite):
     """Criterion 11, standard half: the six single-wall classes span exactly
     2 of the 3 dimensions of H^1 with R^{3,1} coefficients.
 
@@ -243,7 +243,7 @@ def check_standard_class_span(ctx: SuiteContext):
     dimension is reached only by branched weights (criterion 6).
     """
     space = ctx.space("standard")
-    walls = [datum.name.removeprefix("P_") for datum in ctx.bundle.pants]
+    walls = [datum.name.removeprefix("P_") for datum in ctx.pants]
     cocycles = dict(zip(walls, bending_cocycles(ctx, "so_ext")))
     span = class_span_dim(space, cocycles.values())
     relations = {}
@@ -271,12 +271,10 @@ def check_standard_class_span(ctx: SuiteContext):
                         expected, computed)]
 
 
-def check_beta_combinations(ctx: SuiteContext):
+def check_beta_combinations(ctx: Suite):
     """Criterion 12: the three pair differences are cuspidal with span 3."""
     cocs = bending_cocycles(ctx, "sl")
-    betas = [tuple(a - b for a, b in zip(cocs[0], cocs[1])),
-             tuple(a - b for a, b in zip(cocs[2], cocs[3])),
-             tuple(a - b for a, b in zip(cocs[4], cocs[5]))]
+    betas = [tuple(a - b for a, b in zip(cocs[i], cocs[i + 1])) for i in (0, 2, 4)]
     space = ctx.space("nu")
     cusp = [is_cuspidal(space, b) for b in betas]
     span = class_span_dim(space, betas)
@@ -287,93 +285,84 @@ def check_beta_combinations(ctx: SuiteContext):
 
 
 def _random_word(rng: random.Random, gens, max_len: int) -> Word:
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        letters.append((rng.choice(gens), rng.choice((1, -1))))
-    return Word(letters)
+    return Word([(rng.choice(gens), rng.choice((1, -1)))
+                 for _ in range(rng.randint(0, max_len))])
 
 
-def suite_fox_identity(ctx: SuiteContext, cases: int):
-    """Sum_i d(w)/d(x_i) (x_i - 1) = w - 1 in the group ring."""
+def _tally(name: str, outcomes) -> list[CheckResult]:
+    """The one check of a property suite: ``outcomes`` holds one truth value
+    per case, and the check counts the cases and fails on any false one."""
+    outcomes = list(outcomes)
+    bad = outcomes.count(False)
+    return [CheckResult("13", f"{name} ({len(outcomes)} cases)", bad == 0, 0, bad)]
+
+
+def suite_fox_identity(ctx: Suite, cases: int):
+    """Sum_i d(w)/d(x_i) (x_i - 1) = w - 1 in the group ring, on the relators
+    and on random words."""
     rng = random.Random(101)
-    gens = list(ctx.bundle.presentation.generators)
-    words = list(ctx.bundle.presentation.relators)
+    gens = list(ctx.presentation.generators)
+    words = list(ctx.presentation.relators)
     words += [_random_word(rng, gens, 30) for _ in range(cases)]
     one = GroupRingElem.one()
-    bad = 0
-    for w in words:
-        total = GroupRingElem.zero()
-        for g in gens:
-            gi = GroupRingElem.from_word(Word.generator(g)) - one
-            total = total + fox_derivative(w, g) * gi
-        if total != GroupRingElem.from_word(w) - one:
-            bad += 1
-    return CheckResult("13", f"fox fundamental identity ({len(words)} cases)",
-                       bad == 0, 0, bad)
+    steps = [(g, GroupRingElem.from_word(Word.generator(g)) - one) for g in gens]
+
+    def holds(w):
+        total = sum((fox_derivative(w, g) * gi for g, gi in steps), GroupRingElem.zero())
+        return total == GroupRingElem.from_word(w) - one
+    return _tally("fox fundamental identity", map(holds, words))
 
 
-def suite_coboundary_identity(ctx: SuiteContext, cases: int):
+def suite_coboundary_identity(ctx: Suite, cases: int):
     """Coboundaries extend as c(w) = (I - w).alpha for every word."""
     rng = random.Random(102)
     space = ctx.space("standard")
-    module = ctx.module("standard")
-    gens = list(ctx.bundle.presentation.generators)
-    bad = 0
-    for _ in range(cases):
-        alpha = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                 for _ in range(space.d)]
+    module = ctx.representation.module("standard")
+    gens = list(ctx.presentation.generators)
+
+    def holds():
+        alpha = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(space.d)]
         c = space.coboundary(alpha)
         w = _random_word(rng, gens, 10)
-        lhs = cocycle_eval(space, c, w)
-        rhs = module.coboundary_map([w]).matvec(alpha)
-        if lhs != rhs:
-            bad += 1
-    return CheckResult("13", f"cocycle-extension coboundary identity ({cases} cases)",
-                       bad == 0, 0, bad)
+        return cocycle_eval(space, c, w) == module.coboundary_map([w]).matvec(alpha)
+    return _tally("cocycle-extension coboundary identity",
+                  (holds() for _ in range(cases)))
 
 
-def suite_rank_nullity(ctx: SuiteContext, cases: int):
+def suite_rank_nullity(ctx: Suite, cases: int):
     rng = random.Random(103)
-    bad = 0
-    for _ in range(cases):
+
+    def holds():
         rows = rng.randint(0, 6)
         cols = rng.randint(1, 6)
         m = RationalMatrix(rows, cols,
                            [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                             for _ in range(rows * cols)])
-        if m.rank() + len(nullspace(m)) != cols:
-            bad += 1
-    return CheckResult("13", f"rank-nullity ({cases} cases)", bad == 0, 0, bad)
+        return m.rank() + len(nullspace(m)) == cols
+    return _tally("rank-nullity", (holds() for _ in range(cases)))
 
 
-def suite_relator_derivatives(ctx: SuiteContext, cases: int):
-    """First-order relator derivatives vanish for all six bendings, including
-    on random normal-closure elements."""
+def suite_relator_derivatives(ctx: Suite, cases: int):
+    """First-order relator derivatives vanish for all six bendings, on every
+    relator and on random normal-closure elements."""
     rng = random.Random(104)
-    pres = ctx.bundle.presentation
+    pres = ctx.presentation
     gens = list(pres.generators)
-    fos = _bend(ctx.bundle.representation, ctx.bundle.pants)
-    bad = 0
-    checked = 0
-    for fo in fos:
-        for r in pres.relators:
-            checked += 1
-            _, e = first_order_evaluate(fo, r)
-            if not e.is_zero():
-                bad += 1
-    for _ in range(cases):
+    fos = _bend(ctx.representation, ctx.pants)
+
+    def vanishes(fo, w):
+        return first_order_evaluate(fo, w)[1].is_zero()
+
+    def holds():
         fo = rng.choice(fos)
         u = _random_word(rng, gens, 4)
         r = rng.choice(pres.relators)
         if rng.random() < 0.5:
             r = r.inverse()
-        w = u * r * u.inverse()
-        checked += 1
-        _, e = first_order_evaluate(fo, w)
-        if not e.is_zero():
-            bad += 1
-    return CheckResult("13", f"relator first-order vanishing ({checked} cases)",
-                       bad == 0, 0, bad)
+        return vanishes(fo, u * r * u.inverse())
+    return _tally("relator first-order vanishing",
+                  [vanishes(fo, r) for fo in fos for r in pres.relators]
+                  + [holds() for _ in range(cases)])
 
 
 def _conjugator_pool(rep):
@@ -393,54 +382,40 @@ def _conjugator_pool(rep):
     return pool + [m for m in (flip, perm, boost) if rep.form.preserved_by(m)]
 
 
-def suite_conjugation_invariance(ctx: SuiteContext, cases: int):
+def _dims(r):
+    """The dimensions of a cohomology report, as conjugation must keep them."""
+    return (r.dim_z1, r.dim_b1, r.dim_h0, r.dim_h1, r.dim_pz1, r.dim_ph1)
+
+
+def suite_conjugation_invariance(ctx: Suite, cases: int):
     """All report dimensions are unchanged under conjugating the representation
     by random exact form-preserving matrices. Cases cycle through the three
     coefficient module kinds."""
     rng = random.Random(105)
-    rep = ctx.bundle.representation
-    pres = ctx.bundle.presentation
+    rep = ctx.representation
+    pres = ctx.presentation
     pool = _conjugator_pool(rep)
     kinds = ("standard", "nu", "adjoint")
-    baselines = {}
-    for kind in kinds:
-        r = ctx.report(kind, "per_subgroup")
-        baselines[kind] = (r.dim_z1, r.dim_b1, r.dim_h0, r.dim_h1,
-                           r.dim_pz1, r.dim_ph1)
-    bad = 0
-    for i in range(cases):
+    baselines = {kind: _dims(ctx.report(kind, "per_subgroup")) for kind in kinds}
+
+    def holds(i):
         kind = kinds[i % 3]
         u = RationalMatrix.identity(rep.size)
         for _ in range(rng.randint(1, 2)):
             u = u * rng.choice(pool)
-        conj = rep.conjugated(u)
-        module = CoefficientModule(conj, kind)
-        r = h1_report(pres, module, mode="per_subgroup")
-        got = (r.dim_z1, r.dim_b1, r.dim_h0, r.dim_h1, r.dim_pz1, r.dim_ph1)
-        if got != baselines[kind]:
-            bad += 1
-    return CheckResult("13", f"conjugation invariance ({cases} cases)",
-                       bad == 0, 0, bad)
+        module = CoefficientModule(rep.conjugated(u), kind)
+        return _dims(h1_report(pres, module, mode="per_subgroup")) == baselines[kind]
+    return _tally("conjugation invariance", map(holds, range(cases)))
 
 
-def run_property_suites(ctx: SuiteContext, cases: int = 1000):
-    return [
-        suite_fox_identity(ctx, cases),
-        suite_coboundary_identity(ctx, cases),
-        suite_rank_nullity(ctx, cases),
-        suite_relator_derivatives(ctx, cases),
-        suite_conjugation_invariance(ctx, cases),
-    ]
-
-
-def run_fixture_suite(bundle: FixtureBundle, coefficients: str | None = None,
+def run_fixture_suite(suite: Suite, coefficients: str | None = None,
                       cases: int = 1000) -> list[CheckResult]:
-    """Every acceptance check on ``bundle``; with ``coefficients`` in {"r31",
+    """Every acceptance check on ``suite``; with ``coefficients`` in {"r31",
     "nu", "adjoint"}, only the dimension, restriction and parabolic checks of
-    that coefficient kind. A step that the bundle's data leave unable to run
+    that coefficient kind. A step that the suite's data leave unable to run
     (an override whose walls have no one-dimensional centralizer, or that
-    has no cusps) is one failed check that names the error."""
-    ctx = SuiteContext(bundle)
+    has no cusps) is one failed check that names the error; each property
+    suite is a step of its own."""
     kinds = tuple(COEFFICIENT_KINDS.values()) if coefficients is None else (
         COEFFICIENT_KINDS[coefficients],)
     steps = [(check_dimensions, kinds),
@@ -450,11 +425,14 @@ def run_fixture_suite(bundle: FixtureBundle, coefficients: str | None = None,
         steps += [(check_borromean_complex,), (check_roots_of_unity,),
                   (check_pythagorean_ranks,), (check_trace_matrix,),
                   (check_nu_class_span,), (check_standard_class_span,),
-                  (check_beta_combinations,), (run_property_suites, cases)]
+                  (check_beta_combinations,)]
+        steps += [(prop, cases) for prop in (
+            suite_fox_identity, suite_coboundary_identity, suite_rank_nullity,
+            suite_relator_derivatives, suite_conjugation_invariance)]
     checks = []
     for step, *args in steps:
         try:
-            checks += step(ctx, *args)
+            checks += step(suite, *args)
         except ValueError as exc:
             checks.append(CheckResult("-", step.__name__, False, "no error", str(exc)))
     return checks

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import fixtures
-from .acceptance import COEFFICIENT_KINDS, run_fixture_suite
+from .acceptance import COEFFICIENT_KINDS, Suite, run_fixture_suite
 from .bending import (MODULE_KIND, centralizer_generator, hnn_first_order,
                       tangent_cocycle, trace_derivative_matrix)
 from .cohomology import (CocycleSpace, class_span_dim, h1_report, is_cuspidal,
@@ -166,11 +166,11 @@ def cmd_borromean(args) -> int:
     rep = fixtures.load_representation(pres, args.rep)
     _require_valid(rep, "fixture override")
     try:
-        bundle = fixtures.load_bundle(pres, rep)
+        suite = Suite(pres, rep)
     except InputError as exc:
         raise InputError("the fixture override does not cover the bundled walls "
                          f"and words: {exc}") from exc
-    checks = run_fixture_suite(bundle, args.coefficients, args.cases)
+    checks = run_fixture_suite(suite, args.coefficients, args.cases)
     for c in checks:
         print(c.line(), file=sys.stderr)
     doc = {"checks": [c.to_json() for c in checks],

@@ -1,7 +1,8 @@
 """Input readers, and the bundled Borromean-rings fixture they read by default:
 presentation, integer SO(3,1) representation, six wall subgroups with stable
 letters, the four-wall branched complex, trace words and the reference
-trace-derivative matrix.
+trace-derivative matrix. ``acceptance.Suite`` reads the whole fixture around
+a presentation and representation through these readers.
 
 There is one reader per input kind, ``load_<kind>(..., path=None)``. Given a
 path it reads that file; given none it reads the bundled file through
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -107,28 +107,3 @@ def load_words(presentation: Presentation, path=None) -> list:
 
 def load_trace_reference(path=None) -> RationalMatrix:
     return _load(path, "trace reference", RationalMatrix.from_json)
-
-
-@dataclass
-class FixtureBundle:
-    presentation: Presentation
-    representation: Representation
-    pants: list[BendingDatum]
-    pants_trace: list[BendingDatum]
-    complex: BendingComplex
-    trace_words: list
-    trace_reference: RationalMatrix
-
-
-def load_bundle(pres: Presentation, rep: Representation) -> FixtureBundle:
-    """The bundled walls, complex, words and reference around ``pres`` and
-    ``rep``; raises InputError when ``pres`` cannot parse the walls or words."""
-    return FixtureBundle(
-        presentation=pres,
-        representation=rep,
-        pants=load_pants(pres, "sl"),
-        pants_trace=load_pants(pres, "sl", PANTS_TRACE),
-        complex=load_complex(),
-        trace_words=load_words(pres),
-        trace_reference=load_trace_reference(),
-    )

@@ -74,6 +74,9 @@ def parse_rational(x) -> tuple[int, int]:
         return Fraction(x).as_integer_ratio()
     except ValueError as exc:  # Fraction quotes all of x
         raise ValueError(str(exc).replace(repr(x), shown(x))) from None
+    except ZeroDivisionError as exc:  # "Fraction(N, 0)", with all of N
+        n = str(exc).removeprefix("Fraction(").removesuffix(", 0)")
+        raise ZeroDivisionError(f"Fraction({shown(n, str)}, 0)") from None
 
 
 def _common(xs) -> tuple[list[int], int]:
@@ -328,6 +331,8 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, data) -> "RationalMatrix":
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("a matrix is a JSON list of rows, each a list")
         return cls.from_rows([[str(x) for x in row] for row in data])
 
 

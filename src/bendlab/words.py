@@ -170,13 +170,13 @@ class GroupRingElem:
 
 
 def shown(value, form=repr) -> str:
-    """``value`` as a message quotes it: a word of over 32 letters by its first 12, any
-    other ``form(value)`` over 80 characters by its first 40, each with its length."""
-    if isinstance(value, Word):
-        n = len(value.letters)
-        return str(value) if n <= 32 else f"{Word(value.letters[:12])} ... ({n} letters)"
-    text = form(value)
-    return text if len(text) <= 80 else f"{text[:40]} ... ({len(text)} characters)"
+    """``value`` as a message quotes it: a word of over 32 letters by its first 12, a
+    shorter one over 160 characters and any other ``form(value)`` over 80 by its first
+    40 characters, each with its length."""
+    if isinstance(value, Word) and len(value.letters) > 32:
+        return f"{shown(Word(value.letters[:12]))} ... ({len(value.letters)} letters)"
+    text, bound = (str(value), 160) if isinstance(value, Word) else (form(value), 80)
+    return text if len(text) <= bound else f"{text[:40]} ... ({len(text)} characters)"
 
 
 def generator_names(generators) -> tuple[str, ...]:
@@ -326,6 +326,11 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
+        if not (isinstance(data, dict) and isinstance(data["relators"], list)
+                and isinstance(data.get("cusps", []), list)
+                and all(isinstance(c, dict) for c in data.get("cusps", []))):
+            raise ValueError('a presentation is a JSON object with a "relators" list '
+                             'and a "cusps" list of objects')
         gens = generator_names(data["generators"])
         relators = tuple(parse_word(r, gens) for r in data["relators"])
         cusps = tuple(

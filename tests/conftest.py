@@ -1,14 +1,15 @@
 import pytest
 
 from bendlab.cohomology import CocycleSpace
-from bendlab.fixtures import load_bundle, load_presentation, load_representation
+from bendlab.acceptance import Suite
+from bendlab.fixtures import load_presentation, load_representation
 from bendlab.modules import CoefficientModule
 
 
 @pytest.fixture(scope="session")
 def bundle():
     pres = load_presentation()
-    return load_bundle(pres, load_representation(pres))
+    return Suite(pres, load_representation(pres))
 
 
 @pytest.fixture(scope="session")

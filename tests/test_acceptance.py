@@ -10,7 +10,6 @@ The README carries the analysis.
 import pytest
 
 from bendlab import acceptance
-from bendlab.fixtures import load_bundle
 from bendlab.linalg import RationalMatrix
 from bendlab.reps import QuadraticForm, Representation
 
@@ -19,7 +18,7 @@ CASES = 1000
 
 @pytest.fixture(scope="module")
 def ctx(bundle):
-    return acceptance.SuiteContext(bundle)
+    return bundle
 
 
 def report(results):
@@ -74,23 +73,23 @@ def test_criterion_12_beta_combinations(ctx):
 
 
 def test_criterion_13_property_fox_identity(ctx):
-    report([acceptance.suite_fox_identity(ctx, CASES)])
+    report(acceptance.suite_fox_identity(ctx, CASES))
 
 
 def test_criterion_13_property_coboundary_identity(ctx):
-    report([acceptance.suite_coboundary_identity(ctx, CASES)])
+    report(acceptance.suite_coboundary_identity(ctx, CASES))
 
 
 def test_criterion_13_property_rank_nullity(ctx):
-    report([acceptance.suite_rank_nullity(ctx, CASES)])
+    report(acceptance.suite_rank_nullity(ctx, CASES))
 
 
 def test_criterion_13_property_relator_derivatives(ctx):
-    report([acceptance.suite_relator_derivatives(ctx, CASES)])
+    report(acceptance.suite_relator_derivatives(ctx, CASES))
 
 
 def test_criterion_13_property_conjugation_invariance(ctx):
-    report([acceptance.suite_conjugation_invariance(ctx, CASES)])
+    report(acceptance.suite_conjugation_invariance(ctx, CASES))
 
 
 def test_fixture_suite_passes_on_an_override_under_another_form(bundle):
@@ -103,4 +102,4 @@ def test_fixture_suite_passes_on_an_override_under_another_form(bundle):
                            {g: p * m * pi for g, m in rho.images.items()},
                            QuadraticForm(pi.transpose() * rho.form.matrix * pi))
     assert not other.form.preserved_by(acceptance._conjugator_pool(rho)[-1])
-    report(acceptance.run_fixture_suite(load_bundle(bundle.presentation, other), cases=2))
+    report(acceptance.run_fixture_suite(acceptance.Suite(bundle.presentation, other), cases=2))

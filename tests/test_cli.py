@@ -55,12 +55,19 @@ def test_validate_defaults_to_bundled(capsys):
     assert code == 0 and doc["ok"]
 
 
-@pytest.mark.parametrize("generators", [5, ["x", ""], "xyz", None,
-                                        ["x", "y", "z", "g" * 49_999 + "("]])
+@pytest.mark.parametrize("generators", [
+    5, ["x", ""], "xyz", None, ["x", "y", "z", "g" * 49_999 + "("],
+    # a change to the document's outline rather than to its generators
+    pytest.param(lambda pres: dict(pres, relators="xy"), id="relators-string"),
+    pytest.param(lambda pres: dict(pres, cusps="ab"), id="cusps-string"),
+    pytest.param(lambda pres: [pres], id="json-list"),
+])
 def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     pres = dict(bundled_json("borromean_presentation.json"), generators=generators)
     if generators is None:  # no "relators" key
         pres = {"generators": ["x"]}
+    elif callable(generators):
+        pres = generators(bundled_json("borromean_presentation.json"))
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(pres))
     # a child process with a timeout: an empty name once hung the parser
@@ -73,6 +80,8 @@ def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     assert len(done.stderr.encode()) <= ERROR_LINE_BYTES, done.stderr
     if generators is None:  # named in words, not a bare KeyError repr
         assert done.stderr.rstrip().endswith("missing key 'relators'"), done.stderr
+    elif callable(generators):  # named by the outline, not by a TypeError
+        assert 'a JSON object with a "relators" list' in done.stderr, done.stderr
 
 
 @pytest.mark.parametrize("rep", [
@@ -91,6 +100,11 @@ def test_validate_malformed_presentation_is_input_error(tmp_path, generators):
     dict(bundled_json("borromean_representation.json"),
          images=dict(bundled_json("borromean_representation.json")["images"],
                      **{"g" * 50_000: [["1", "0"], ["0", "1"]]})),
+    # rows, or a whole matrix, as strings of entries
+    dict(bundled_json("borromean_representation.json"),
+         images=dict(bundled_json("borromean_representation.json")["images"],
+                     x=["1000", "0100", "0010", "0001"])),
+    {"form": "1", "images": {"x": "1", "y": "1", "z": "1"}},
 ])
 def test_validate_malformed_representation_is_input_error(tmp_path, rep):
     path = tmp_path / "rep.json"
@@ -105,6 +119,10 @@ def test_validate_malformed_representation_is_input_error(tmp_path, rep):
     if isinstance(rep, dict) and "form" not in rep:  # named, not a KeyError repr
         assert 'needs a "form" matrix' in done.stderr
     images = rep.get("images") if isinstance(rep, dict) else None
+    if isinstance(images, dict) and any(  # an image whose rows are strings
+            isinstance(m, (str, list)) and any(isinstance(r, str) for r in m)
+            for m in images.values()):
+        assert "a matrix is a JSON list of rows" in done.stderr, done.stderr
     if isinstance(images, dict) and "w" in images:  # not a generator of the presentation
         assert "images for generators the presentation lacks: ['w']" in done.stderr, done.stderr
 
@@ -533,9 +551,15 @@ def test_borromean_override_without_wall_centralizers_fails_its_checks(tmp_path)
                      "--cases", "2", "--output", str(out))
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
-    errors = {c["name"]: c["computed"] for c in json.loads(out.read_text())["checks"]
-              if c["id"] == "-"}
+    checks = json.loads(out.read_text())["checks"]
+    errors = {c["name"]: c["computed"] for c in checks if c["id"] == "-"}
     assert errors["check_nu_class_span"] == "centralizer dimension 15 != 1"
+    # each property suite is a step of its own: only the one that bends the walls fails
+    assert [n for n in errors if n.startswith("suite_")] == ["suite_relator_derivatives"]
+    properties = {c["name"].split(" (")[0]: c["passed"] for c in checks if c["id"] == "13"}
+    assert properties == {"fox fundamental identity": True, "rank-nullity": True,
+                          "cocycle-extension coboundary identity": True,
+                          "conjugation invariance": True}, checks
 
 
 def test_bundled_defaults_follow_the_same_path_as_an_explicit_rep(tmp_path):

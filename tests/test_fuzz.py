@@ -78,7 +78,7 @@ def test_parse_word_returns_a_word_or_raises_word_error(text):
 
 presentations = either(st.fixed_dictionaries({
     "generators": either(st.just(list(GENS))),
-    "relators": either(st.lists(word_text, max_size=3)),
+    "relators": either(st.lists(word_text, max_size=3)) | grammar_words,
     "cusps": either(st.lists(either(st.fixed_dictionaries(
         {"meridian": word_text, "longitude": word_text})), max_size=3)),
 }))
@@ -87,22 +87,32 @@ presentations = either(st.fixed_dictionaries({
 @FUZZ
 @given(presentations)
 def test_presentation_loader_returns_or_raises_input_error(document):
-    load(fixtures.load_presentation, document)
+    # only a document of the right outline loads
+    if load(fixtures.load_presentation, document) is not None:
+        assert isinstance(document, dict) and isinstance(document["relators"], list)
+        cusps = document.get("cusps", [])
+        assert isinstance(cusps, list) and all(isinstance(c, dict) for c in cusps)
 
 
 entries = st.sampled_from(["0", "1", "-1", "1/2", "3/5", "1/0"]) | json_values
+BUNDLED_REP = bundled_json("borromean_representation.json")
 representations = either(st.fixed_dictionaries({
-    "form": either(st.just(bundled_json("borromean_representation.json")["form"])),
+    "form": either(st.just(BUNDLED_REP["form"])),
     "images": either(st.dictionaries(st.sampled_from(GENS), either(
         st.lists(st.lists(entries, min_size=4, max_size=4), min_size=4, max_size=4)),
         max_size=3)),
-}))
+})) | st.builds(  # the bundled images, one a permutation with rows as strings of digits
+    lambda g, rows: dict(BUNDLED_REP, images=dict(BUNDLED_REP["images"], **{g: rows})),
+    st.sampled_from(GENS), st.permutations(["1000", "0100", "0010", "0001"]))
 
 
 @FUZZ
 @given(representations)
 def test_representation_loader_returns_or_raises_input_error(document):
-    load(fixtures.load_representation, document, PRESENTATION)
+    # only a document of the right outline loads: every matrix a list of lists
+    if load(fixtures.load_representation, document, PRESENTATION) is not None:
+        for m in [document["form"], *document["images"].values()]:
+            assert isinstance(m, list) and all(isinstance(row, list) for row in m)
 
 
 walls = st.sampled_from(["w1", "w2", "w3"])

@@ -114,6 +114,10 @@ def test_shown_quotes_long_input_by_its_start_and_length():
     # a word of up to 32 letters whole, a longer one by its first 12 letters
     assert shown(w("(x y^-1 z)^10")) == "x y^-1 z " * 9 + "x y^-1 z"
     assert shown(w("(x y^-1 z)^11")) == "x y^-1 z " * 4 + "... (33 letters)"
+    # and a short word of long names by its first 40 characters
+    g = "g" * 1000
+    assert shown(parse_word(f"{g} x^-1", (g, "x"))) == g[:40] + " ... (1005 characters)"
+    assert shown(w("(x^-1)^32")) == " ".join(["x^-1"] * 32)  # 159 characters
     # anything else whole up to 80 characters of its repr (or str), else its first 40
     assert shown("a" * 78) == repr("a" * 78) and shown(["w"]) == "['w']"
     assert shown("a" * 79) == "'" + "a" * 39 + " ... (81 characters)"
